@@ -44,9 +44,19 @@ class NonBrieskornCertificate:
     conclusion: str = CONCLUSION
 
     def __post_init__(self):
-        assert self.chi_sum == self.chi_a + self.chi_b - Fraction(1, 2)
-        assert self.chi_sum <= 0
-        assert self.boundary == (self.chi_sum == 0)
+        # Explicit raises, not asserts: certificates read back from a file
+        # must be checked under `python -O` too.
+        if self.chi_sum != self.chi_a + self.chi_b - Fraction(1, 2):
+            raise InvalidInputError(
+                f"chi_sum {self.chi_sum} != chi_a + chi_b - 1/2 = "
+                f"{self.chi_a + self.chi_b - Fraction(1, 2)}"
+            )
+        if self.chi_sum > 0:
+            raise InvalidInputError(f"chi_sum {self.chi_sum} is positive, so nothing is certified")
+        if self.boundary != (self.chi_sum == 0):
+            raise InvalidInputError(
+                f"boundary is {self.boundary} but chi_sum is {self.chi_sum}"
+            )
 
 
 def enumerate_sphere_tuples(
@@ -237,6 +247,4 @@ def read_certificates(path: str | Path) -> list[NonBrieskornCertificate]:
                 out.append(_certificate_from_obj(obj))
             except InvalidInputError as exc:
                 raise CertificateFormatError(lineno, str(exc)) from None
-            except AssertionError:
-                raise CertificateFormatError(lineno, "certificate fields are inconsistent") from None
     return out

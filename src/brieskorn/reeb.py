@@ -75,8 +75,12 @@ class MeanEulerReport:
     global_sign: int
 
     def __post_init__(self):
-        assert self.defined == (self.total_index != 0)
-        assert (self.value is not None) == self.defined
+        if self.defined != (self.total_index != 0):
+            raise InvalidInputError(
+                f"defined is {self.defined} but the total index is {self.total_index}"
+            )
+        if (self.value is not None) != self.defined:
+            raise InvalidInputError(f"value {self.value} contradicts defined={self.defined}")
 
 
 def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:

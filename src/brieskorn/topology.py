@@ -204,7 +204,9 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process cannot grow it without limit; 2**16 is
+# several times the ~10.8k distinct tuples the reproduction suite asks for.
+@lru_cache(maxsize=2**16)
 def _kappa_sorted(entries: tuple[int, ...]) -> int:
     # Alternating sum over all subsets of product/lcm quotients. The quotient
     # is an integer for every subset (the lcm divides the product); the pair

@@ -62,16 +62,19 @@ class SuiteResult:
 
 
 def _direct_frequencies(periods: Sequence[int]) -> list[int]:
-    # Deliberately naive counting oracle: walk every multiple and test each
-    # larger period by remainder. Kept independent of the counting kernel.
+    # Direct counting oracle, kept independent of the counting kernel: the
+    # periods claim the positions below the top period d from largest to
+    # smallest, so each multiple is counted once, by the largest period
+    # dividing it, which is "multiples of T below d that no larger period
+    # divides". One byte per position below d; the filter d <= 10^6 in
+    # item 8 keeps that at most 1 MB.
     top = periods[-1]
-    out = []
-    for i, t in enumerate(periods):
-        if i == len(periods) - 1:
-            out.append(1)
-        else:
-            larger = periods[i + 1 :]
-            out.append(sum(1 for x in range(t, top, t) if all(x % f for f in larger)))
+    claimed = bytearray(top)
+    out = [1]
+    for t in reversed(periods[:-1]):
+        out.append(claimed[t::t].count(0))
+        claimed[t::t] = b"\x01" * len(range(t, top, t))
+    out.reverse()
     return out
 
 
