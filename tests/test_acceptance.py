@@ -2,7 +2,7 @@
 
 All checks are exact (tolerance zero); the only inequalities are the stated
 runtime budgets. Expected values are frozen from independent derivations:
-hand-evaluated subset sums, the naive counting oracle defined below, and
+hand-evaluated subset sums, the naive counting oracle in `oracles.py`, and
 direct polynomial evaluation.
 """
 
@@ -32,6 +32,7 @@ from brieskorn.reeb import (
 )
 from brieskorn.topology import ExponentTuple, SphereKind, evaluate_criterion, kappa, make_tuple
 from envelope_schema import ENVELOPE_SCHEMA
+from oracles import naive_frequencies
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -42,20 +43,6 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" [{detail}]" if detail else ""
     print(f"[{status}] criterion {number:>2}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description} {detail}"
-
-
-def naive_frequencies(periods):
-    # counts multiples of each period below the top one avoiding all larger
-    # periods; deliberately the dumbest possible implementation
-    top = periods[-1]
-    out = []
-    for i, t in enumerate(periods):
-        if i == len(periods) - 1:
-            out.append(1)
-            continue
-        larger = periods[i + 1 :]
-        out.append(sum(1 for x in range(t, top, t) if all(x % f for f in larger)))
-    return out
 
 
 def _sphere_tuples_up_to(max_exponent):

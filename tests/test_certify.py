@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import brieskorn
 from brieskorn.certify import (
     CONCLUSION,
     NonBrieskornCertificate,
+    certificate_to_obj,
     certify_non_brieskorn_pairs,
     distinctness_classes,
     enumerate_sphere_tuples,
@@ -194,6 +201,52 @@ def test_missing_field_cites_line_number(tmp_path):
     path.write_text('{"tuple_a": ["4","5","9","19"]}\n')
     with pytest.raises(CertificateFormatError, match="line 1"):
         read_certificates(path)
+
+
+def _tampered_self_pair(tmp_path, **fields):
+    certs = certify_non_brieskorn_pairs([sigma_m_tuple(4)])
+    obj = certificate_to_obj(certs[0])
+    obj.update(fields)
+    path = tmp_path / "tampered.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"chi_sum": {"num": "5", "den": "1"}},
+        {"boundary": True},
+        {"chi_a": {"num": "1", "den": "1"}, "chi_b": {"num": "1", "den": "1"},
+         "chi_sum": {"num": "3", "den": "2"}},
+    ],
+)
+def test_inconsistent_certificate_cites_line_number(tmp_path, fields):
+    path = _tampered_self_pair(tmp_path, **fields)
+    with pytest.raises(CertificateFormatError, match="line 1"):
+        read_certificates(path)
+
+
+def test_inconsistent_certificate_rejected_under_optimize(tmp_path):
+    # `python -O` strips asserts; the validation must not depend on them.
+    path = _tampered_self_pair(tmp_path, chi_sum={"num": "5", "den": "1"})
+    script = (
+        "import sys\n"
+        "from brieskorn.certify import read_certificates\n"
+        "from brieskorn.errors import CertificateFormatError\n"
+        "try:\n"
+        "    read_certificates(sys.argv[1])\n"
+        "except CertificateFormatError as exc:\n"
+        "    print(exc.line_number)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(brieskorn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "1"
 
 
 def test_writes_are_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -19,22 +20,11 @@ from brieskorn.reeb import (
     total_rs_index,
 )
 from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime
+from oracles import naive_frequencies
 
 wide_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=8
 ).map(lambda xs: ExponentTuple(tuple(xs)))
-
-
-def naive_frequencies(periods):
-    top = periods[-1]
-    out = []
-    for i, t in enumerate(periods):
-        if i == len(periods) - 1:
-            out.append(1)
-            continue
-        larger = periods[i + 1 :]
-        out.append(sum(1 for x in range(t, top, t) if all(x % f for f in larger)))
-    return out
 
 
 # ----------------------------------------------------------- periods
@@ -177,6 +167,14 @@ def test_mean_euler_report_invariants():
         if report.defined:
             weighted = sum(s.frequency * s.chi_s1 for s in report.strata)
             assert report.value * abs(report.total_index) == report.global_sign * weighted
+
+
+def test_mean_euler_report_rejects_inconsistent_fields():
+    good = mean_euler(make_tuple([2, 3, 5]))
+    with pytest.raises(InvalidInputError):
+        replace(good, total_index=0)  # defined, yet total index 0
+    with pytest.raises(InvalidInputError):
+        replace(good, value=None)  # defined, yet no value
 
 
 @given(wide_tuples)

@@ -21,6 +21,7 @@ from brieskorn.topology import (
     make_tuple,
     noncoprime_pair,
     pairwise_coprime,
+    _kappa_sorted,
 )
 
 small_tuples = st.lists(
@@ -185,6 +186,10 @@ def test_kappa_triple_closed_form():
             + (a * b * c) // math.lcm(a, b, c)
         )
         assert kappa(make_tuple(entries)) == expected
+
+
+def test_kappa_cache_is_bounded():
+    assert _kappa_sorted.cache_info().maxsize is not None
 
 
 def test_kappa_respects_length_cap():
