@@ -31,9 +31,6 @@ from .exactarith import (
     count_multiples_avoiding,
     dominance_check,
     dominance_margin,
-    gcd,
-    lcm,
-    lcm_all,
 )
 from .families import (
     FamilyRow,

@@ -19,7 +19,7 @@ from .certify import (
     write_certificates,
 )
 from .errors import BrieskornError, CapacityError, InvalidInputError
-from .families import fermat_asymptotics_report, sigma_family_rows
+from .families import closed_form_checks, fermat_asymptotics_report, sigma_family_rows
 from .limits import Limits, limits_from_env
 from .reeb import connected_sum_chi, mean_euler
 from .serialize import fraction_obj
@@ -78,10 +78,7 @@ def _emit(args, envelope: dict, human_lines: list[str]) -> None:
 
 def _limits_from_args(args) -> Limits:
     return limits_from_env().with_overrides(
-        subset_cap=args.cap_subsets,
-        antichain_cap=args.cap_antichain,
-        fermat_cap=args.cap_fermat,
-        direct_count_limit=args.direct_count_limit,
+        subset_cap=args.cap_subsets, fermat_cap=args.cap_fermat
     )
 
 
@@ -249,12 +246,7 @@ def _cmd_family(args) -> int:
         if args.m_from is None or args.m_to is None:
             raise InvalidInputError("family sigma-m needs --from and --to")
         rows = sigma_family_rows(args.m_from, args.m_to, limits)
-        coprime_rows = [r for r in rows if r.pairwise_coprime]
-        agreement = all(r.agrees for r in coprime_rows)
-        decreasing = all(
-            coprime_rows[i + 1].chi_m < coprime_rows[i].chi_m
-            for i in range(len(coprime_rows) - 1)
-        )
+        agreement, decreasing = closed_form_checks(rows)
         human = []
         for r in rows:
             closed = str(r.closed_form) if r.closed_form is not None else "n/a (3 | m)"
@@ -389,12 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON envelope on stdout")
     common.add_argument("--cap-subsets", type=int, default=None, metavar="N",
                         help="max tuple length for 2^L subset enumerations")
-    common.add_argument("--cap-antichain", type=int, default=None, metavar="N",
-                        help="max antichain size in the counting kernel")
     common.add_argument("--cap-fermat", type=int, default=None, metavar="N",
                         help="max Fermat index")
-    common.add_argument("--direct-count-limit", type=int, default=None, metavar="N",
-                        help="max range for the direct-count cross-check")
 
     parser = argparse.ArgumentParser(
         prog="brieskorn",

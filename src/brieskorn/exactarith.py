@@ -4,8 +4,10 @@ Everything here is exact: integers are Python's arbitrary-precision ints,
 rationals are `fractions.Fraction` (always reduced, positive denominator),
 and polynomials keep integer coefficients. No floating point anywhere.
 
-The one nontrivial piece is `count_multiples_avoiding`, the kernel behind
-the Reeb-orbit frequencies. It counts multiples of a base below a bound
+The one nontrivial piece is `count_multiples_avoiding`, an oracle for the
+Reeb-orbit frequencies: `reeb.frequencies` computes them by a recurrence
+over the period lattice, and the reproduction suite and the tests compare
+it with this kernel. The kernel counts multiples of a base below a bound
 that avoid a set of forbidden divisor classes, and it does so along two
 independent routes that are cross-checked against each other whenever the
 candidate range is small enough:
@@ -27,32 +29,6 @@ from .errors import BrieskornError, CapacityError, InvalidInputError
 from .limits import DEFAULT_LIMITS, Limits
 
 Rational = Union[int, Fraction]
-
-
-def gcd(x: int, y: int) -> int:
-    """Nonnegative greatest common divisor, with gcd(0, 0) = 0."""
-    return math.gcd(abs(x), abs(y))
-
-
-def lcm(x: int, y: int) -> int:
-    """Least common multiple of two positive integers."""
-    if x <= 0 or y <= 0:
-        raise InvalidInputError(f"lcm requires positive inputs, got ({x}, {y})")
-    return math.lcm(x, y)
-
-
-def lcm_all(xs: Iterable[int]) -> int:
-    """lcm of a sequence of positive integers; empty sequence gives 1.
-
-    The empty convention is what makes the empty-subset term of the
-    homology-rank expansion contribute exactly 1.
-    """
-    result = 1
-    for x in xs:
-        if x <= 0:
-            raise InvalidInputError(f"lcm_all requires positive inputs, got {x}")
-        result = math.lcm(result, x)
-    return result
 
 
 def _candidate_range(base: int, bound: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapacityError, InvalidInputError, PreconditionError
+from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from .exactarith import IntPolynomial, dominance_check, dominance_margin
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler, mean_euler_coprime
@@ -95,6 +95,19 @@ def sigma_family_rows(
     return rows
 
 
+def closed_form_checks(rows: Sequence[FamilyRow]) -> tuple[bool, bool]:
+    """(agreement, strictly decreasing) over the rows with gcd(m, 3) = 1:
+    the general algorithm equals the closed form on each of them, and the
+    values decrease strictly along them."""
+    coprime_rows = [r for r in rows if r.pairwise_coprime]
+    agreement = all(r.agrees for r in coprime_rows)
+    decreasing = all(
+        coprime_rows[i + 1].chi_m < coprime_rows[i].chi_m
+        for i in range(len(coprime_rows) - 1)
+    )
+    return agreement, decreasing
+
+
 @dataclass(frozen=True)
 class SigmaFamilyReport:
     """Exact verification of the m-family over a parameter range.
@@ -145,13 +158,7 @@ def sigma_family_report(
     if not 4 <= m_low < m_high:
         raise InvalidInputError(f"need 4 <= m_low < m_high, got [{m_low}, {m_high}]")
     rows = tuple(sigma_family_rows(m_low, m_high, limits))
-
-    coprime_rows = [r for r in rows if r.pairwise_coprime]
-    agreement = all(r.agrees for r in coprime_rows)
-    decreasing = all(
-        coprime_rows[i + 1].chi_m < coprime_rows[i].chi_m
-        for i in range(len(coprime_rows) - 1)
-    )
+    agreement, decreasing = closed_form_checks(rows)
 
     combo = derivative_combination()
     combo_ok = combo.coeffs == DERIVATIVE_COMBINATION_COEFFS
@@ -204,10 +211,12 @@ def fermat_tuple(ell: int, n: int, limits: Limits = DEFAULT_LIMITS) -> ExponentT
     numbers = [2 ** (2**k) + 1 for k in range(ell + n + 1)]
     running = numbers[0]
     for k in range(1, len(numbers)):
-        assert numbers[k] == running + 2
+        if numbers[k] != running + 2:
+            raise BrieskornError(f"Fermat product recursion fails at index {k}")
         running *= numbers[k]
     t = ExponentTuple(tuple(numbers[ell : ell + n + 1]))
-    assert pairwise_coprime(t)
+    if not pairwise_coprime(t):
+        raise BrieskornError(f"Fermat tuple {t} is not pairwise coprime")
     return t
 
 
@@ -267,7 +276,10 @@ def fermat_asymptotics_report(
         t = fermat_tuple(ell, n, limits)
         chi = mean_euler_coprime(t)
         general = mean_euler(t, limits)
-        assert general.defined and general.value == chi
+        if not (general.defined and general.value == chi):
+            raise BrieskornError(
+                f"general route gives {general.value} for {t}, closed form gives {chi}"
+            )
         x = 2 ** (2**ell)
         signed = sign * chi
         ratio = signed * 2 * x**3

@@ -15,9 +15,7 @@ from .errors import InvalidInputError
 # Environment variable spellings match the CLI flags, upper-cased, BK_ prefix.
 _ENV_VARS = {
     "subset_cap": "BK_CAP_SUBSETS",
-    "antichain_cap": "BK_CAP_ANTICHAIN",
     "fermat_cap": "BK_CAP_FERMAT",
-    "direct_count_limit": "BK_DIRECT_COUNT_LIMIT",
 }
 
 
@@ -35,6 +33,10 @@ class Limits:
         kernel runs its direct-enumeration cross-check.
     search_budget: maximum number of candidate tuples a sphere search may
         enumerate.
+
+    The two counting-kernel fields are set only in code: the kernel runs
+    as an oracle in the reproduction suite, so no flag or environment
+    variable reaches it.
     """
 
     subset_cap: int = 24

@@ -13,9 +13,10 @@ Per stratum the relevant data are its Robbin-Salamon index
 
 its equivariant Euler characteristic, and its frequency: the number of
 multiples of T below the top period d that are not multiples of any larger
-period. The mean Euler characteristic combines them into one exact rational
-divided by the total index 2d(sum_j 1/a_j - 1); it is an invariant of the
-contact structure and is defined whenever that total index is nonzero.
+period, found by Moebius recursion over the period lattice. The mean Euler
+characteristic combines them into one exact rational divided by the total
+index 2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and
+is defined whenever that total index is nonzero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
-from .exactarith import count_multiples_avoiding
 from .limits import DEFAULT_LIMITS, Limits
 from .topology import ExponentTuple, chi_s1, noncoprime_pair
 
@@ -113,12 +113,14 @@ def _build_stratum(
 ) -> Stratum:
     indices = tuple(j for j, e in enumerate(a.entries) if T % e == 0)
     # a period is an lcm of >= 2 entries, so at least those entries divide it
-    assert len(indices) >= 2
+    if len(indices) < 2:
+        raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
     b = a.subtuple(indices)
     m_t = len(indices)
     mu = _floor_ceil_index(a, T)
     # Each exponent not dividing T contributes an odd floor+ceil term.
-    assert (mu - (a.n + 1 - m_t)) % 2 == 0
+    if (mu - (a.n + 1 - m_t)) % 2 != 0:
+        raise BrieskornError(f"index parity fails for {a} at period {T}: mu_RS = {mu}")
     return Stratum(
         period=T,
         indices=indices,
@@ -132,9 +134,18 @@ def _build_stratum(
     )
 
 
-def frequencies(periods: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> list[int]:
+def frequencies(periods: Sequence[int]) -> list[int]:
     """Frequency of each period: multiples below the top period that avoid
-    all larger periods. The top period itself has frequency 1 by convention."""
+    all larger periods. The top period itself has frequency 1 by convention.
+
+    The periods must be closed under lcm, as those of `reeb_periods` are.
+    Then the d/T - 1 multiples of T below the top period d split by the
+    largest period dividing them, which is a multiple of T below d, so
+
+        freq(T) = (d/T - 1) - sum(freq(U) for periods T < U < d with T | U),
+
+    evaluated from the largest period down.
+    """
     if not periods:
         raise InvalidInputError("frequencies need at least one period")
     top = periods[-1]
@@ -143,10 +154,12 @@ def frequencies(periods: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> list
             raise InvalidInputError("periods must be strictly increasing")
         if top % t != 0:
             raise InvalidInputError(f"every period must divide the last; {t} does not divide {top}")
-    out = []
-    for i, t in enumerate(periods[:-1]):
-        out.append(count_multiples_avoiding(t, top, periods[i + 1 :], limits))
-    out.append(1)
+    out = [1] * len(periods)
+    for i in range(len(periods) - 2, -1, -1):
+        t = periods[i]
+        out[i] = top // t - 1 - sum(
+            out[j] for j in range(i + 1, len(periods) - 1) if periods[j] % t == 0
+        )
     return out
 
 
@@ -155,11 +168,7 @@ def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratu
     periods = reeb_periods(a, limits)
     if T not in periods:
         raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {periods}")
-    if T == periods[-1]:
-        freq = 1
-    else:
-        larger = [t for t in periods if t > T]
-        freq = count_multiples_avoiding(T, periods[-1], larger, limits)
+    freq = frequencies(periods)[periods.index(T)]
     return _build_stratum(a, T, freq, limits)
 
 
@@ -179,7 +188,7 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
     """
     total = total_rs_index(a)
     periods = reeb_periods(a, limits)
-    phis = frequencies(periods, limits)
+    phis = frequencies(periods)
     strata = tuple(
         _build_stratum(a, T, phi, limits) for T, phi in zip(periods, phis)
     )

@@ -24,7 +24,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, InvalidInputError, PreconditionError, UnsupportedLengthError
+from .errors import (
+    BrieskornError,
+    CapacityError,
+    InvalidInputError,
+    PreconditionError,
+    UnsupportedLengthError,
+)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -132,7 +138,8 @@ def build_graph(a: ExponentTuple) -> DivisorGraph:
     if evens:
         # All even entries share the factor 2, hence live in one component.
         comp = next(c for c in components if evens & c)
-        assert evens <= comp
+        if not evens <= comp:
+            raise BrieskornError(f"even entries of {a} span more than one component")
         if all(entries[i] % 2 == 0 for i in comp):
             even_component = comp
 
@@ -222,11 +229,10 @@ def _kappa_sorted(entries: tuple[int, ...]) -> int:
                 prod = math.prod(subset)
                 m = math.lcm(*subset)
                 quotient, rem = divmod(prod, m)
-                assert rem == 0
-                if k == 1:
-                    assert quotient == 1
-                elif k == 2:
-                    assert quotient == math.gcd(subset[0], subset[1])
+                if rem or (k == 1 and quotient != 1) or (
+                    k == 2 and quotient != math.gcd(subset[0], subset[1])
+                ):
+                    raise BrieskornError(f"product/lcm quotient check fails on {subset}")
             total += sign * quotient
     return total
 

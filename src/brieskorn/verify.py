@@ -17,7 +17,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 from .certify import certify_non_brieskorn_pairs, distinctness_classes, enumerate_sphere_tuples
-from .exactarith import dominance_check, dominance_margin
+from .exactarith import count_multiples_avoiding, dominance_check, dominance_margin
 from .families import (
     CHI_DENOMINATOR,
     DERIVATIVE_COMBINATION_COEFFS,
@@ -62,12 +62,12 @@ class SuiteResult:
 
 
 def _direct_frequencies(periods: Sequence[int]) -> list[int]:
-    # Direct counting oracle, kept independent of the counting kernel: the
-    # periods claim the positions below the top period d from largest to
-    # smallest, so each multiple is counted once, by the largest period
-    # dividing it, which is "multiples of T below d that no larger period
-    # divides". One byte per position below d; the filter d <= 10^6 in
-    # item 8 keeps that at most 1 MB.
+    # Direct counting oracle, independent of the counting kernel and of the
+    # lattice recurrence in `reeb.frequencies`: the periods claim the
+    # positions below the top period d from largest to smallest, so each
+    # multiple is counted once, by the largest period dividing it, which is
+    # "multiples of T below d that no larger period divides". One byte per
+    # position below d; the filter d <= 10^6 in item 8 keeps that at most 1 MB.
     top = periods[-1]
     claimed = bytearray(top)
     out = [1]
@@ -177,10 +177,14 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
             continue
         seen.add(key)
         periods = reeb_periods(t, limits)
-        if frequencies(periods, limits) != _direct_frequencies(periods):
+        kernel = [
+            count_multiples_avoiding(p, periods[-1], periods[i + 1 :], limits)
+            for i, p in enumerate(periods[:-1])
+        ] + [1]
+        if not frequencies(periods) == kernel == _direct_frequencies(periods):
             return False, f"frequency mismatch for {t}"
         checked += 1
-    return True, f"{checked} tuples with d <= 10^6 cross-checked against the naive count"
+    return True, f"{checked} tuples with d <= 10^6: recurrence, kernel and direct count agree"
 
 
 def _item_9_fermat_suite(limits: Limits, ctx: dict) -> tuple[bool, str]:

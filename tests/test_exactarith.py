@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,6 @@ from brieskorn.exactarith import (
     count_multiples_avoiding,
     dominance_check,
     dominance_margin,
-    gcd,
-    lcm,
-    lcm_all,
 )
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 
@@ -32,39 +30,6 @@ def naive_count(base, bound, forbidden):
         for a in range(1, (bound + base - 1) // base)
         if all((a * base) % f for f in forbidden)
     )
-
-
-# ------------------------------------------------------------ gcd / lcm
-
-
-def test_gcd_examples():
-    assert gcd(4, 19) == 1
-    assert gcd(17, 4294967297) == 1  # consecutive-squaring tower values
-    assert gcd(0, 0) == 0
-
-
-@pytest.mark.parametrize("x", [0, 5, -5, 2**130])
-def test_gcd_zero_identity(x):
-    assert gcd(x, 0) == abs(x)
-    assert gcd(0, x) == abs(x)
-
-
-def test_lcm_examples():
-    assert lcm(2, 2) == 2
-    assert lcm_all([4, 5, 9, 19]) == 3420
-    assert lcm_all([]) == 1
-
-
-def test_lcm_rejects_nonpositive():
-    with pytest.raises(InvalidInputError):
-        lcm(0, 3)
-    with pytest.raises(InvalidInputError):
-        lcm_all([2, -4])
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**9))
-def test_gcd_lcm_product(x, y):
-    assert gcd(x, y) * lcm(x, y) == x * y
 
 
 # ------------------------------------------------- counting kernel
@@ -207,4 +172,4 @@ def test_fraction_round_trip(a, b, c, d):
     x, y = Fraction(a, b), Fraction(c, d)
     assert (x + y) - y == x
     assert x.denominator > 0
-    assert gcd(abs(x.numerator), x.denominator) in (0, 1)
+    assert math.gcd(abs(x.numerator), x.denominator) in (0, 1)

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
+import brieskorn
+import brieskorn.families
+from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from brieskorn.families import (
     CHI_DENOMINATOR,
     CHI_NUMERATOR,
@@ -173,6 +179,33 @@ def test_fermat_asymptotics_n4_sign():
     for r in report.rows:
         assert r.chi_m < 0
         assert r.signed_chi == -r.chi_m > 0
+
+
+def test_fermat_asymptotics_rejects_a_wrong_closed_form(monkeypatch):
+    honest = brieskorn.families.mean_euler_coprime
+    monkeypatch.setattr(brieskorn.families, "mean_euler_coprime", lambda t: honest(t) + 1)
+    with pytest.raises(BrieskornError, match="closed form"):
+        fermat_asymptotics_report([0, 1], 3)
+
+    # `python -O` strips asserts; the cross-check must not depend on them.
+    script = (
+        "import brieskorn.families as f\n"
+        "from brieskorn.errors import BrieskornError\n"
+        "honest = f.mean_euler_coprime\n"
+        "f.mean_euler_coprime = lambda t: honest(t) + 1\n"
+        "try:\n"
+        "    f.fermat_asymptotics_report([0, 1], 3)\n"
+        "except BrieskornError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(brieskorn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "raised"
 
 
 def test_fermat_asymptotics_validates_indices():

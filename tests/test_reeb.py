@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brieskorn.errors import InvalidInputError, PreconditionError
+from brieskorn.exactarith import count_multiples_avoiding
 from brieskorn.reeb import (
     connected_sum_chi,
     frequencies,
@@ -90,10 +91,12 @@ def test_top_stratum_index_equals_total():
 @given(wide_tuples)
 @settings(max_examples=60)
 def test_stratum_parity(t):
+    by_period = {s.period: s for s in mean_euler(t).strata}
     for T in reeb_periods(t):
         s = stratum(t, T)
         assert (s.mu_rs - (t.n + 1 - s.m_t)) % 2 == 0
         assert (s.mu_rs - s.quotient_dim // 2 - (t.n + 1)) % 2 == 0
+        assert s.frequency == by_period[T].frequency
 
 
 # ------------------------------------------------------- total index
@@ -129,6 +132,19 @@ def test_frequencies_match_naive_oracle(t):
     periods = reeb_periods(t)
     if t.d <= 10**5:
         assert frequencies(periods) == naive_frequencies(periods)
+
+
+@given(wide_tuples)
+@settings(max_examples=60)
+def test_frequencies_match_counting_kernel(t):
+    # no bound on d: the kernel's inclusion-exclusion route covers the
+    # tuples with d > 10^5 that the naive oracle above skips
+    periods = reeb_periods(t)
+    kernel = [
+        count_multiples_avoiding(p, periods[-1], periods[i + 1 :])
+        for i, p in enumerate(periods[:-1])
+    ]
+    assert frequencies(periods) == kernel + [1]
 
 
 # ------------------------------------------------------- mean euler

@@ -33,14 +33,19 @@ def test_item_8_fails_when_frequencies_are_off_by_one(monkeypatch):
     passed, _ = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
     assert passed
 
-    honest = brieskorn.verify.frequencies
+    # each of the three routes item 8 compares: recurrence, kernel, direct count
+    for route in ("frequencies", "count_multiples_avoiding", "_direct_frequencies"):
+        honest = getattr(brieskorn.verify, route)
 
-    def off_by_one(periods, limits=DEFAULT_LIMITS):
-        out = honest(periods, limits)
-        out[0] += 1
-        return out
+        def off_by_one(*args, honest=honest):
+            out = honest(*args)
+            if isinstance(out, int):
+                return out + 1
+            out[0] += 1
+            return out
 
-    monkeypatch.setattr(brieskorn.verify, "frequencies", off_by_one)
-    passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
-    assert not passed
-    assert detail.startswith("frequency mismatch for")
+        with monkeypatch.context() as patch:
+            patch.setattr(brieskorn.verify, route, off_by_one)
+            passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
+        assert not passed, route
+        assert detail.startswith("frequency mismatch for")
