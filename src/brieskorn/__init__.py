@@ -26,12 +26,7 @@ from .errors import (
     PreconditionError,
     UnsupportedLengthError,
 )
-from .exactarith import (
-    IntPolynomial,
-    count_multiples_avoiding,
-    dominance_check,
-    dominance_margin,
-)
+from .exactarith import IntPolynomial, dominance_check, dominance_margin
 from .families import (
     FamilyRow,
     FermatAsymptoticsReport,

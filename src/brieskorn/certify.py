@@ -46,6 +46,15 @@ class NonBrieskornCertificate:
     def __post_init__(self):
         # Explicit raises, not asserts: certificates read back from a file
         # must be checked under `python -O` too.
+        for side, t in (("tuple_a", self.tuple_a), ("tuple_b", self.tuple_b)):
+            if t.length != 4:
+                raise InvalidInputError(
+                    f"{side} has {t.length} entries, but a 5-dimensional sphere needs 4"
+                )
+        if self.conclusion != CONCLUSION:
+            raise InvalidInputError(
+                f"conclusion must be {CONCLUSION!r}, got {self.conclusion!r}"
+            )
         if self.chi_sum != self.chi_a + self.chi_b - Fraction(1, 2):
             raise InvalidInputError(
                 f"chi_sum {self.chi_sum} != chi_a + chi_b - 1/2 = "

@@ -269,7 +269,8 @@ def _cmd_family(args) -> int:
     else:  # fermat
         if args.ell is None or args.n is None:
             raise InvalidInputError("family fermat needs --ell and --n")
-        ells = list(range(args.ell, args.ell + (args.scan or 1)))
+        scan = 1 if args.scan is None else args.scan
+        ells = list(range(args.ell, args.ell + scan))
         report = fermat_asymptotics_report(ells, args.n, limits)
         human = []
         for r in report.rows:
@@ -307,7 +308,7 @@ def _cmd_family(args) -> int:
             "family": "fermat",
             "ell": str(args.ell),
             "n": str(args.n),
-            "scan": str(args.scan or 1),
+            "scan": str(scan),
         }
     _emit(args, _envelope("family", input_obj, result, []), human)
     return EXIT_OK

@@ -1,110 +1,20 @@
-"""Exact integer, rational and polynomial arithmetic plus the counting kernel.
+"""Exact rational and integer-polynomial arithmetic.
 
-Everything here is exact: integers are Python's arbitrary-precision ints,
-rationals are `fractions.Fraction` (always reduced, positive denominator),
-and polynomials keep integer coefficients. No floating point anywhere.
-
-The one nontrivial piece is `count_multiples_avoiding`, an oracle for the
-Reeb-orbit frequencies: `reeb.frequencies` computes them by a recurrence
-over the period lattice, and the reproduction suite and the tests compare
-it with this kernel. The kernel counts multiples of a base below a bound
-that avoid a set of forbidden divisor classes, and it does so along two
-independent routes that are cross-checked against each other whenever the
-candidate range is small enough:
-
-  (a) direct enumeration of the candidates a in [1, ceil(bound/base) - 1],
-      marking those with some forbidden f dividing a*base;
-  (b) inclusion-exclusion over a divisibility-minimal antichain of the
-      reduced moduli q_f = lcm(base, f) / base.
+Everything here is exact: rationals are `fractions.Fraction` (always
+reduced, positive denominator) and polynomials keep integer coefficients,
+with Python's arbitrary-precision ints throughout. No floating point
+anywhere. Besides `IntPolynomial`, the module holds the dominance check
+that certifies where a polynomial's complex roots lie.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .errors import BrieskornError, CapacityError, InvalidInputError
-from .limits import DEFAULT_LIMITS, Limits
+from .errors import InvalidInputError
 
 Rational = Union[int, Fraction]
-
-
-def _candidate_range(base: int, bound: int) -> int:
-    # Number of candidates a with a*base < bound, i.e. ceil(bound/base) - 1.
-    return (bound + base - 1) // base - 1
-
-
-def _count_direct(base: int, bound: int, forbidden: Sequence[int]) -> int:
-    """Route (a): enumerate every candidate and sieve out forbidden ones.
-
-    Works in a-space (x = a*base): f divides a*base iff q = f/gcd(f, base)
-    divides a, so marking multiples of each q in a bytearray enumerates the
-    full candidate range at native speed.
-    """
-    ncand = _candidate_range(base, bound)
-    if ncand <= 0:
-        return 0
-    sieve = bytearray(ncand + 1)  # index a in [1, ncand]
-    for f in forbidden:
-        q = f // math.gcd(f, base)
-        if q <= ncand:
-            sieve[q::q] = b"\x01" * (ncand // q)
-    return ncand - sieve.count(1)
-
-
-def _count_inclusion_exclusion(
-    base: int, bound: int, forbidden: Sequence[int], antichain_cap: int
-) -> int:
-    """Route (b): signed subset sum over a divisibility-minimal antichain."""
-    qs = sorted({f // math.gcd(f, base) for f in forbidden})
-    antichain = []
-    for q in qs:  # ascending, so any divisor of q was seen before q
-        if not any(q % p == 0 for p in antichain):
-            antichain.append(q)
-    if len(antichain) > antichain_cap:
-        raise CapacityError(
-            f"inclusion-exclusion antichain has {len(antichain)} elements, "
-            f"exceeding the cap of {antichain_cap}"
-        )
-    total = 0
-    for k in range(len(antichain) + 1):
-        for subset in combinations(antichain, k):
-            block = 1
-            for q in subset:
-                block = math.lcm(block, q)
-            total += (-1) ** k * ((bound - 1) // (base * block))
-    return total
-
-
-def count_multiples_avoiding(
-    base: int,
-    bound: int,
-    forbidden: Sequence[int],
-    limits: Limits = DEFAULT_LIMITS,
-) -> int:
-    """Count natural a with a*base < bound and a*base in no forbidden f*N.
-
-    Always computed by inclusion-exclusion; whenever the candidate range is
-    at most `limits.direct_count_limit` the direct enumeration runs as well
-    and the two results are required to agree.
-    """
-    if base < 1 or bound < 1:
-        raise InvalidInputError(f"base and bound must be >= 1, got ({base}, {bound})")
-    for f in forbidden:
-        if f < 1:
-            raise InvalidInputError(f"forbidden values must be >= 1, got {f}")
-    count = _count_inclusion_exclusion(base, bound, forbidden, limits.antichain_cap)
-    if _candidate_range(base, bound) <= limits.direct_count_limit:
-        direct = _count_direct(base, bound, forbidden)
-        if direct != count:
-            raise BrieskornError(
-                "counting strategies disagree: direct enumeration gives "
-                f"{direct}, inclusion-exclusion gives {count} for "
-                f"base={base}, bound={bound}, forbidden={list(forbidden)}"
-            )
-    return count
 
 
 class IntPolynomial:

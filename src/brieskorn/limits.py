@@ -1,8 +1,8 @@
-"""Configurable enumeration caps and cross-check thresholds.
+"""Configurable enumeration caps.
 
-Every exponential enumeration in the package (subset sums, antichain
-inclusion-exclusion, Fermat towers, sphere searches) is guarded by a cap so
-that absurd inputs fail fast with a `CapacityError` instead of hanging.
+Every exponential enumeration in the package (subset sums, Fermat towers,
+sphere searches) is guarded by a cap so that absurd inputs fail fast with a
+`CapacityError` instead of hanging.
 """
 
 from __future__ import annotations
@@ -25,24 +25,14 @@ class Limits:
 
     subset_cap: maximum tuple length L for operations that walk all 2^L
         subsets (homology rank, period lattice).
-    antichain_cap: maximum antichain size in the counting kernel's
-        inclusion-exclusion (2^size terms are summed).
     fermat_cap: largest Fermat index ever materialized (sizes grow doubly
         exponentially).
-    direct_count_limit: largest candidate range for which the counting
-        kernel runs its direct-enumeration cross-check.
     search_budget: maximum number of candidate tuples a sphere search may
         enumerate.
-
-    The two counting-kernel fields are set only in code: the kernel runs
-    as an oracle in the reproduction suite, so no flag or environment
-    variable reaches it.
     """
 
     subset_cap: int = 24
-    antichain_cap: int = 24
     fermat_cap: int = 12
-    direct_count_limit: int = 10**6
     search_budget: int = 10**6
 
     def with_overrides(self, **kwargs) -> "Limits":

@@ -168,7 +168,8 @@ def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratu
     periods = reeb_periods(a, limits)
     if T not in periods:
         raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {periods}")
-    freq = frequencies(periods)[periods.index(T)]
+    # freq(T) needs only the periods T divides; they are closed under lcm too
+    freq = frequencies([p for p in periods if p % T == 0])[0]
     return _build_stratum(a, T, freq, limits)
 
 

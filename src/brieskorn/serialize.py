@@ -12,10 +12,6 @@ from fractions import Fraction
 from .errors import InvalidInputError
 
 
-def int_str(x: int) -> str:
-    return str(x)
-
-
 def parse_int(s, what: str = "integer") -> int:
     if isinstance(s, int) and not isinstance(s, bool):
         return s

@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 from .certify import certify_non_brieskorn_pairs, distinctness_classes, enumerate_sphere_tuples
-from .exactarith import count_multiples_avoiding, dominance_check, dominance_margin
+from .errors import CapacityError
+from .exactarith import dominance_check, dominance_margin
 from .families import (
     CHI_DENOMINATOR,
     DERIVATIVE_COMBINATION_COEFFS,
@@ -41,6 +43,10 @@ from .topology import ExponentTuple, SphereKind, evaluate_criterion, kappa
 
 DEFAULT_SEED = 20250707
 
+# Largest antichain `_inclusion_exclusion_frequencies` sums over; the sum
+# has 2^size terms.
+_ANTICHAIN_CAP = 24
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -62,11 +68,11 @@ class SuiteResult:
 
 
 def _direct_frequencies(periods: Sequence[int]) -> list[int]:
-    # Direct counting oracle, independent of the counting kernel and of the
-    # lattice recurrence in `reeb.frequencies`: the periods claim the
-    # positions below the top period d from largest to smallest, so each
-    # multiple is counted once, by the largest period dividing it, which is
-    # "multiples of T below d that no larger period divides". One byte per
+    # Direct counting oracle, independent of the inclusion-exclusion oracle
+    # below and of the lattice recurrence in `reeb.frequencies`: the periods
+    # claim the positions below the top period d from largest to smallest, so
+    # each multiple is counted once, by the largest period dividing it, which
+    # is "multiples of T below d that no larger period divides". One byte per
     # position below d; the filter d <= 10^6 in item 8 keeps that at most 1 MB.
     top = periods[-1]
     claimed = bytearray(top)
@@ -76,6 +82,33 @@ def _direct_frequencies(periods: Sequence[int]) -> list[int]:
         claimed[t::t] = b"\x01" * len(range(t, top, t))
     out.reverse()
     return out
+
+
+def _inclusion_exclusion_frequencies(periods: Sequence[int]) -> list[int]:
+    # Inclusion-exclusion oracle, independent of the lattice recurrence and
+    # of the claiming count above: a larger period U divides a*T iff the
+    # reduced modulus U // gcd(U, T) divides a, so the multiples of T below
+    # d that avoid every larger period are a signed subset sum over those
+    # moduli. A modulus that another one divides excludes nothing more, so
+    # only the divisibility-minimal ones (an antichain) enter the sum.
+    top = periods[-1]
+    out = []
+    for i, t in enumerate(periods[:-1]):
+        antichain: list[int] = []
+        for q in sorted({u // math.gcd(u, t) for u in periods[i + 1 :]}):
+            if all(q % p for p in antichain):  # ascending, so divisors came first
+                antichain.append(q)
+        if len(antichain) > _ANTICHAIN_CAP:
+            raise CapacityError(
+                f"inclusion-exclusion antichain has {len(antichain)} elements "
+                f"at period {t}, exceeding the cap of {_ANTICHAIN_CAP}"
+            )
+        total = 0
+        for k in range(len(antichain) + 1):
+            for subset in combinations(antichain, k):
+                total += (-1) ** k * ((top - 1) // (t * math.lcm(*subset)))
+        out.append(total)
+    return out + [1]
 
 
 def _item_1_sigma4_both_routes(limits: Limits, ctx: dict) -> tuple[bool, str]:
@@ -177,14 +210,17 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
             continue
         seen.add(key)
         periods = reeb_periods(t, limits)
-        kernel = [
-            count_multiples_avoiding(p, periods[-1], periods[i + 1 :], limits)
-            for i, p in enumerate(periods[:-1])
-        ] + [1]
-        if not frequencies(periods) == kernel == _direct_frequencies(periods):
+        if not (
+            frequencies(periods)
+            == _inclusion_exclusion_frequencies(periods)
+            == _direct_frequencies(periods)
+        ):
             return False, f"frequency mismatch for {t}"
         checked += 1
-    return True, f"{checked} tuples with d <= 10^6: recurrence, kernel and direct count agree"
+    return True, (
+        f"{checked} tuples with d <= 10^6: recurrence, inclusion-exclusion "
+        "and direct count agree"
+    )
 
 
 def _item_9_fermat_suite(limits: Limits, ctx: dict) -> tuple[bool, str]:

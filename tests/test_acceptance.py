@@ -200,7 +200,7 @@ def test_criterion_08_frequency_oracle_equivalence():
     ok = mismatches == 0 and checked > 0
     report(
         8,
-        "inclusion-exclusion frequencies equal direct counts whenever d <= 10^6",
+        "lattice-recurrence frequencies equal the naive oracle's counts whenever d <= 10^6",
         ok,
         f"{checked} tuples",
     )

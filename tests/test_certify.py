@@ -219,6 +219,8 @@ def _tampered_self_pair(tmp_path, **fields):
         {"boundary": True},
         {"chi_a": {"num": "1", "den": "1"}, "chi_b": {"num": "1", "den": "1"},
          "chi_sum": {"num": "3", "den": "2"}},
+        {"tuple_a": ["2", "3"]},
+        {"conclusion": "this sum is a Brieskorn sphere"},
     ],
 )
 def test_inconsistent_certificate_cites_line_number(tmp_path, fields):

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import jsonschema
+import pytest
 
 from brieskorn.certify import read_certificates
 from brieskorn.cli import main
@@ -166,6 +167,13 @@ def test_family_fermat_scan(capsys):
     assert code == 0
     assert [r["ell"] for r in env["result"]["rows"]] == [2, 3, 4]
     assert env["result"]["ratio_error_strictly_decreasing"] is True
+
+
+@pytest.mark.parametrize("scan", ["0", "-1"])
+def test_family_fermat_empty_scan_exits_2(capsys, scan):
+    code, _, err = run(capsys, "family", "fermat", "--ell", "2", "--n", "3", "--scan", scan)
+    assert code == 2
+    assert "at least one Fermat index" in err
 
 
 def test_family_missing_arguments(capsys):

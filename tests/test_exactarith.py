@@ -7,82 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brieskorn.errors import CapacityError, InvalidInputError
-from brieskorn.exactarith import (
-    IntPolynomial,
-    _count_direct,
-    _count_inclusion_exclusion,
-    count_multiples_avoiding,
-    dominance_check,
-    dominance_margin,
-)
-from brieskorn.limits import DEFAULT_LIMITS, Limits
+from brieskorn.errors import InvalidInputError
+from brieskorn.exactarith import IntPolynomial, dominance_check, dominance_margin
 
 # h is the quartic denominator of the parametric family's closed form; its
 # value 2642 at m=4 shows up all over the reference results.
 H_POLY = IntPolynomial((-6, -34, -50, -8, 16))
-
-
-def naive_count(base, bound, forbidden):
-    # independent oracle: literal walk over candidates a with a*base < bound
-    return sum(
-        1
-        for a in range(1, (bound + base - 1) // base)
-        if all((a * base) % f for f in forbidden)
-    )
-
-
-# ------------------------------------------------- counting kernel
-
-
-def test_count_examples():
-    assert count_multiples_avoiding(6, 30, [10, 15, 30]) == 4  # 6, 12, 18, 24
-    assert count_multiples_avoiding(2, 6, [6]) == 2  # 2 and 4
-    assert count_multiples_avoiding(30, 30, []) == 0  # no a with 30a < 30
-
-
-def test_count_validates_inputs():
-    with pytest.raises(InvalidInputError):
-        count_multiples_avoiding(0, 10, [])
-    with pytest.raises(InvalidInputError):
-        count_multiples_avoiding(1, 0, [])
-    with pytest.raises(InvalidInputError):
-        count_multiples_avoiding(1, 10, [0])
-
-
-def test_count_antichain_cap():
-    limits = Limits(antichain_cap=2)
-    with pytest.raises(CapacityError, match="cap of 2"):
-        count_multiples_avoiding(1, 1000, [2, 3, 5], limits)
-
-
-def test_count_antichain_discards_multiples():
-    # 4 and 6 are multiples of 2, so the antichain is just {2}: well under
-    # any cap, and the result is the odd numbers below 100.
-    limits = Limits(antichain_cap=1)
-    assert count_multiples_avoiding(1, 100, [2, 4, 6], limits) == 50
-
-
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=2500),
-    st.lists(st.integers(min_value=1, max_value=60), max_size=6),
-)
-def test_count_matches_naive(base, bound, forbidden):
-    assert count_multiples_avoiding(base, bound, forbidden) == naive_count(
-        base, bound, forbidden
-    )
-
-
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=2500),
-    st.lists(st.integers(min_value=1, max_value=60), max_size=6),
-)
-def test_direct_equals_inclusion_exclusion(base, bound, forbidden):
-    assert _count_direct(base, bound, forbidden) == _count_inclusion_exclusion(
-        base, bound, forbidden, DEFAULT_LIMITS.antichain_cap
-    )
 
 
 # ------------------------------------------------------ polynomials

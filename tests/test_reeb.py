@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brieskorn.errors import InvalidInputError, PreconditionError
-from brieskorn.exactarith import count_multiples_avoiding
 from brieskorn.reeb import (
     connected_sum_chi,
     frequencies,
@@ -21,6 +20,7 @@ from brieskorn.reeb import (
     total_rs_index,
 )
 from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime
+from brieskorn.verify import _inclusion_exclusion_frequencies
 from oracles import naive_frequencies
 
 wide_tuples = st.lists(
@@ -137,14 +137,10 @@ def test_frequencies_match_naive_oracle(t):
 @given(wide_tuples)
 @settings(max_examples=60)
 def test_frequencies_match_counting_kernel(t):
-    # no bound on d: the kernel's inclusion-exclusion route covers the
-    # tuples with d > 10^5 that the naive oracle above skips
+    # no bound on d: the inclusion-exclusion oracle covers the tuples with
+    # d > 10^5 that the naive oracle above skips
     periods = reeb_periods(t)
-    kernel = [
-        count_multiples_avoiding(p, periods[-1], periods[i + 1 :])
-        for i, p in enumerate(periods[:-1])
-    ]
-    assert frequencies(periods) == kernel + [1]
+    assert frequencies(periods) == _inclusion_exclusion_frequencies(periods)
 
 
 # ------------------------------------------------------- mean euler
