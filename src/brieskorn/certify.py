@@ -103,9 +103,8 @@ def certify_non_brieskorn_pairs(
     Inputs must be sphere 4-tuples with defined mean Euler characteristic;
     they are canonicalized, so permuted duplicates collapse to one tuple.
     """
-    canonical: list[ExponentTuple] = []
+    rows: list[tuple[ExponentTuple, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
-    chi: dict[ExponentTuple, Fraction] = {}
     for t in tuples:
         if t.length != 4:
             raise PreconditionError(f"certificates need 4-tuples, got {t} of length {t.length}")
@@ -120,22 +119,22 @@ def certify_non_brieskorn_pairs(
             raise PreconditionError(
                 f"mean Euler characteristic of {c} is undefined (total index 0)"
             )
-        canonical.append(c)
-        chi[c] = report.value
+        rows.append((c, report.value))
 
     certificates = []
-    for i, a in enumerate(canonical):
-        for b in canonical[i:]:
-            total = connected_sum_chi([chi[a], chi[b]], n=3)
-            if total <= 0:
+    for i, (a, chi_a) in enumerate(rows):
+        for b, chi_b in rows[i:]:
+            total = connected_sum_chi([chi_a, chi_b], n=3)
+            # A Fraction carries its sign in the numerator.
+            if total.numerator <= 0:
                 certificates.append(
                     NonBrieskornCertificate(
                         tuple_a=a,
                         tuple_b=b,
-                        chi_a=chi[a],
-                        chi_b=chi[b],
+                        chi_a=chi_a,
+                        chi_b=chi_b,
                         chi_sum=total,
-                        boundary=(total == 0),
+                        boundary=(total.numerator == 0),
                     )
                 )
     return certificates

@@ -245,13 +245,25 @@ def connected_sum_chi(values: Sequence[Fraction], n: int) -> Fraction:
 
     Each junction adds (-1)^n * 1/2, so k summands contribute their sum plus
     (k - 1) such corrections. Associative and commutative by construction.
+
+    The summands must be exact rationals (`Fraction` or `int`). Their
+    numerators and denominators are accumulated over the integers, starting
+    from (-1)^n * (k - 1) / 2, and reduced by one gcd at the end; the
+    denominator stays positive, so the result is the reduced `Fraction`.
     """
     if not values:
         raise InvalidInputError("connected sum needs at least one summand")
     if n < 2:
         raise InvalidInputError(f"connected sum needs n >= 2, got {n}")
-    correction = Fraction((-1) ** n, 2)
-    return sum(values, start=Fraction(0)) + (len(values) - 1) * correction
+    num, den = (-1) ** n * (len(values) - 1), 2
+    try:
+        for v in values:
+            num, den = num * v.denominator + v.numerator * den, den * v.denominator
+    except (AttributeError, TypeError):
+        raise InvalidInputError(
+            f"connected sum summands must be exact rationals (Fraction or int), got {values!r}"
+        ) from None
+    return Fraction(num, den)
 
 
 def has_isolated_exponent(a: ExponentTuple) -> bool:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -91,6 +92,23 @@ def test_large_invariants_yield_no_certificate():
     assert mean_euler(pair[0]).value == Fraction(7, 10)
     assert mean_euler(pair[1]).value == Fraction(11, 14)
     assert certify_non_brieskorn_pairs(pair) == []
+
+
+def test_zero_sum_is_a_boundary_certificate(monkeypatch):
+    # the search up to 12 has no pair summing to exactly 0, so stub the
+    # invariants: 1/4 + 1/4 - 1/2 = 0 is certified, 1/12 and 1/6 are not
+    quarter, third = make_tuple([2, 2, 2, 3]), make_tuple([2, 2, 2, 5])
+    chi = {quarter.entries: Fraction(1, 4), third.entries: Fraction(1, 3)}
+    monkeypatch.setattr(
+        "brieskorn.certify.mean_euler",
+        lambda t, limits: SimpleNamespace(defined=True, value=chi[t.entries]),
+    )
+    certs = certify_non_brieskorn_pairs([quarter, third])
+    assert len(certs) == 1
+    cert = certs[0]
+    assert cert.tuple_a == cert.tuple_b == quarter
+    assert cert.chi_sum == 0
+    assert cert.boundary is True
 
 
 def test_certify_canonicalizes_and_deduplicates():

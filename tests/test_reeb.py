@@ -21,7 +21,7 @@ from brieskorn.reeb import (
 )
 from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime
 from brieskorn.verify import _inclusion_exclusion_frequencies
-from oracles import naive_frequencies
+from oracles import fraction_connected_sum, naive_frequencies
 
 wide_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=8
@@ -273,6 +273,32 @@ def test_connected_sum_validation():
         connected_sum_chi([], 3)
     with pytest.raises(InvalidInputError):
         connected_sum_chi([Fraction(1)], 1)
+
+
+@pytest.mark.parametrize(
+    "values", [[0.1, 0.2], [Fraction(1, 3), 0.5], ["1/3", Fraction(1, 3)], [None]]
+)
+def test_connected_sum_rejects_inexact_summands(values):
+    with pytest.raises(InvalidInputError, match="exact rationals"):
+        connected_sum_chi(values, 3)
+
+
+def test_connected_sum_accepts_int_summands():
+    result = connected_sum_chi([1, 2], 3)
+    assert type(result) is Fraction and result == Fraction(5, 2)
+
+
+summands = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(max_denominator=10_000),
+)
+
+
+@given(st.lists(summands, min_size=1, max_size=4), st.integers(min_value=2, max_value=6))
+def test_connected_sum_matches_fraction_arithmetic(values, n):
+    result = connected_sum_chi(values, n)
+    assert type(result) is Fraction
+    assert result == fraction_connected_sum(values, n)
 
 
 # ------------------------------------------------- isolated exponents

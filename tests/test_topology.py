@@ -23,6 +23,7 @@ from brieskorn.topology import (
     pairwise_coprime,
     _kappa_sorted,
 )
+from oracles import brieskorn_pham_kappa
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=6
@@ -201,6 +202,16 @@ def test_kappa_respects_length_cap():
 def test_kappa_permutation_invariant(t):
     for p in set(permutations(t.entries)):
         assert kappa(ExponentTuple(p)) == kappa(t)
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=5).filter(
+        lambda xs: math.prod(x - 1 for x in xs) <= 20_000
+    )
+)
+def test_kappa_matches_brieskorn_pham_count(entries):
+    # the alternating subset sum against the eigenvalue count it is derived from
+    assert kappa(ExponentTuple(tuple(entries))) == brieskorn_pham_kappa(entries)
 
 
 def test_sphere_tuples_have_zero_kappa():
