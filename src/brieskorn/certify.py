@@ -230,12 +230,12 @@ def _certificate_from_obj(obj: dict) -> NonBrieskornCertificate:
 
 def write_certificates(
     certificates: Iterable[NonBrieskornCertificate], path: str | Path
-) -> None:
-    """Persist certificates as JSONL, one object per line, byte-deterministic."""
-    lines = [
-        json.dumps(certificate_to_obj(c), separators=(",", ":")) for c in certificates
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+) -> list[dict]:
+    """Write certificates as JSONL, byte-deterministic; return the objects written."""
+    objs = [certificate_to_obj(c) for c in certificates]
+    text = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
+    Path(path).write_text(text, encoding="utf-8")
+    return objs
 
 
 def read_certificates(path: str | Path) -> list[NonBrieskornCertificate]:

@@ -320,8 +320,8 @@ def _cmd_search(args) -> int:
     certs = certify_non_brieskorn_pairs(spheres, limits)
     boundary = sum(1 for c in certs if c.boundary)
     pairs = len(spheres) * (len(spheres) + 1) // 2
-    if args.out:
-        write_certificates(certs, args.out)
+    # one JSON object per certificate serves both the file and the envelope
+    objs = write_certificates(certs, args.out) if args.out else list(map(certificate_to_obj, certs))
 
     human = [
         f"sphere tuples with entries in [2, {args.max_exponent}]: {len(spheres)}",
@@ -337,7 +337,7 @@ def _cmd_search(args) -> int:
         "certificates": len(certs),
         "boundary": boundary,
         "out": args.out,
-        "certificate_list": [certificate_to_obj(c) for c in certs],
+        "certificate_list": objs,
     }
     _emit(args, _envelope("search", {"max_exponent": str(args.max_exponent),
                                      "out": args.out}, result, []), human)

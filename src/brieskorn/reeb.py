@@ -13,7 +13,9 @@ Per stratum the relevant data are its Robbin-Salamon index
 
 its equivariant Euler characteristic, and its frequency: the number of
 multiples of T below the top period d that are not multiples of any larger
-period, found by Moebius recursion over the period lattice. The mean Euler
+period. Periods, frequencies and every kappa (Milnor-Orlik) come from one
+lcm per subset of entries and two fast Moebius transforms over that subset
+lattice ("Fourier meets Moebius", Bjorklund et al. 2007). The mean Euler
 characteristic combines them into one exact rational divided by the total
 index 2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and
 is defined whenever that total index is nonzero.
@@ -24,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
-from .topology import ExponentTuple, chi_s1, noncoprime_pair
+from .topology import ExponentTuple, noncoprime_pair
 
 __all__ = [
     "Stratum",
@@ -83,39 +85,64 @@ class MeanEulerReport:
             raise InvalidInputError(f"value {self.value} contradicts defined={self.defined}")
 
 
+def _lattice(a: ExponentTuple, limits: Limits) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The strata as (period, frequency, kappa of the entries dividing the
+    period), by period, and kappa[J] for every subset J of entry positions.
+
+    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
+    have J(x) containing J, the superset Moebius transform of these counts
+    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
+    dividing lcm(J) is in J), as J(x) is, so its nonzero entries with
+    |J| >= 2 are the strata below d, which has frequency 1 by convention.
+    kappa is the subset Moebius transform of the quotients prod // lcm.
+    """
+    L, entries = a.length, a.entries
+    if L > limits.subset_cap:
+        raise CapacityError(f"the period lattice walks 2^{L} subsets, exceeding the "
+                            f"length cap of {limits.subset_cap}")
+    size = 1 << L
+    lcm, kap = [1] * size, [1] * size  # kap holds prod[J] until the quotients replace it
+    for J in range(1, size):  # from J without its lowest position
+        low = J & -J
+        lcm[J] = math.lcm(lcm[J ^ low], entries[low.bit_length() - 1])
+        kap[J] = kap[J ^ low] * entries[low.bit_length() - 1]
+    for J in range(1, size):
+        kap[J], rem = divmod(kap[J], lcm[J])
+        if rem:
+            raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
+    for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
+        if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
+            raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
+    d = lcm[-1]
+    freq = [d // m - 1 for m in lcm]
+    for i in range(L):
+        bit = 1 << i
+        for base in range(0, size, 2 * bit):
+            for J in range(base, base + bit):
+                freq[J] -= freq[J | bit]
+                kap[J | bit] -= kap[J]
+    rows = sorted((lcm[J], freq[J], kap[J]) for J in range(size - 1) if freq[J] and J & (J - 1))
+    return rows + [(d, 1, kap[-1])], kap
+
+
 def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     """Sorted minimal periods: lcms of all subsets of >= 2 exponents.
 
     The largest entry is always d, the lcm of the whole tuple.
     """
-    if a.length > limits.subset_cap:
-        raise CapacityError(
-            f"period enumeration walks 2^{a.length} subsets, exceeding the "
-            f"length cap of {limits.subset_cap}"
-        )
-    periods = set()
-    for size in range(2, a.length + 1):
-        for subset in combinations(a.entries, size):
-            periods.add(math.lcm(*subset))
-    return sorted(periods)
+    return [T for T, _, _ in _lattice(a, limits)[0]]
 
 
 def _floor_ceil_index(a: ExponentTuple, T: int) -> int:
-    total = 0
-    for e in a.entries:
-        q, r = divmod(T, e)
-        total += 2 * q if r == 0 else 2 * q + 1
-    return total - 2 * T
+    # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e)
+    return sum(T // e - -T // e for e in a.entries) - 2 * T
 
 
-def _build_stratum(
-    a: ExponentTuple, T: int, frequency: int, limits: Limits
-) -> Stratum:
+def _build_stratum(a: ExponentTuple, T: int, frequency: int, kappa: int) -> Stratum:
     indices = tuple(j for j, e in enumerate(a.entries) if T % e == 0)
     # a period is an lcm of >= 2 entries, so at least those entries divide it
     if len(indices) < 2:
         raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
-    b = a.subtuple(indices)
     m_t = len(indices)
     mu = _floor_ceil_index(a, T)
     # Each exponent not dividing T contributes an odd floor+ceil term.
@@ -124,53 +151,32 @@ def _build_stratum(
     return Stratum(
         period=T,
         indices=indices,
-        subtuple=b,
+        subtuple=a.subtuple(indices),
         m_t=m_t,
         dim=2 * m_t - 3,
         quotient_dim=2 * m_t - 4,
         mu_rs=mu,
-        chi_s1=chi_s1(b, limits),
+        # chi_S1 = n + (-1)^(n-1) kappa on the subtuple, which has n = m_t - 1
+        chi_s1=m_t - 1 + (-1) ** m_t * kappa,
         frequency=frequency,
     )
 
 
-def frequencies(periods: Sequence[int]) -> list[int]:
-    """Frequency of each period: multiples below the top period that avoid
-    all larger periods. The top period itself has frequency 1 by convention.
-
-    The periods must be closed under lcm, as those of `reeb_periods` are.
-    Then the d/T - 1 multiples of T below the top period d split by the
-    largest period dividing them, which is a multiple of T below d, so
-
-        freq(T) = (d/T - 1) - sum(freq(U) for periods T < U < d with T | U),
-
-    evaluated from the largest period down.
-    """
-    if not periods:
-        raise InvalidInputError("frequencies need at least one period")
-    top = periods[-1]
-    for i, t in enumerate(periods):
-        if i > 0 and t <= periods[i - 1]:
-            raise InvalidInputError("periods must be strictly increasing")
-        if top % t != 0:
-            raise InvalidInputError(f"every period must divide the last; {t} does not divide {top}")
-    out = [1] * len(periods)
-    for i in range(len(periods) - 2, -1, -1):
-        t = periods[i]
-        out[i] = top // t - 1 - sum(
-            out[j] for j in range(i + 1, len(periods) - 1) if periods[j] % t == 0
-        )
-    return out
+def frequencies(a: ExponentTuple) -> list[int]:
+    """Frequency of each period of `reeb_periods(a)`: the multiples of it
+    below the top period d that no larger period divides. The top period
+    itself has frequency 1 by convention."""
+    if not isinstance(a, ExponentTuple):
+        raise InvalidInputError(f"frequencies take an ExponentTuple, got {type(a).__name__}")
+    return [f for _, f, _ in _lattice(a, DEFAULT_LIMITS)[0]]
 
 
 def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratum:
     """Fully populated stratum for one period of the flow on `a`."""
-    periods = reeb_periods(a, limits)
-    if T not in periods:
-        raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {periods}")
-    # freq(T) needs only the periods T divides; they are closed under lcm too
-    freq = frequencies([p for p in periods if p % T == 0])[0]
-    return _build_stratum(a, T, freq, limits)
+    rows = {row[0]: row for row in _lattice(a, limits)[0]}
+    if T not in rows:
+        raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {list(rows)}")
+    return _build_stratum(a, *rows[T])
 
 
 def total_rs_index(a: ExponentTuple) -> int:
@@ -188,11 +194,7 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
     the agreement is enforced.
     """
     total = total_rs_index(a)
-    periods = reeb_periods(a, limits)
-    phis = frequencies(periods)
-    strata = tuple(
-        _build_stratum(a, T, phi, limits) for T, phi in zip(periods, phis)
-    )
+    strata = tuple(_build_stratum(a, *row) for row in _lattice(a, limits)[0])
 
     numerator_global = sum(s.frequency * s.chi_s1 for s in strata)
     numerator_stratified = sum(

@@ -211,8 +211,9 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
 
 
-# Bounded so a long-lived process cannot grow it without limit; 2**16 is
-# several times the ~10.8k distinct tuples the reproduction suite asks for.
+# Bounded so a long-lived process cannot grow it without limit. `mean_euler`
+# reads kappa from its subset lattice and does not call this, so the
+# reproduction suite asks for ~1k distinct tuples, far below 2**16.
 @lru_cache(maxsize=2**16)
 def _kappa_sorted(entries: tuple[int, ...]) -> int:
     # Alternating sum over all subsets of product/lcm quotients. The quotient
@@ -223,16 +224,12 @@ def _kappa_sorted(entries: tuple[int, ...]) -> int:
     for k in range(L + 1):
         sign = (-1) ** (L - k)
         for subset in combinations(entries, k):
-            if k == 0:
-                quotient = 1
-            else:
-                prod = math.prod(subset)
-                m = math.lcm(*subset)
-                quotient, rem = divmod(prod, m)
-                if rem or (k == 1 and quotient != 1) or (
-                    k == 2 and quotient != math.gcd(subset[0], subset[1])
-                ):
-                    raise BrieskornError(f"product/lcm quotient check fails on {subset}")
+            # the empty subset has product 1 and lcm 1
+            quotient, rem = divmod(math.prod(subset), math.lcm(*subset))
+            if rem or (k == 1 and quotient != 1) or (
+                k == 2 and quotient != math.gcd(subset[0], subset[1])
+            ):
+                raise BrieskornError(f"product/lcm quotient check fails on {subset}")
             total += sign * quotient
     return total
 

@@ -36,7 +36,6 @@ from .reeb import (
     has_isolated_exponent,
     mean_euler,
     mean_euler_coprime,
-    reeb_periods,
     total_rs_index,
 )
 from .topology import ExponentTuple, SphereKind, evaluate_criterion, kappa
@@ -69,7 +68,7 @@ class SuiteResult:
 
 def _direct_frequencies(periods: Sequence[int]) -> list[int]:
     # Direct counting oracle, independent of the inclusion-exclusion oracle
-    # below and of the lattice recurrence in `reeb.frequencies`: the periods
+    # below and of the subset lattice behind `reeb.frequencies`: the periods
     # claim the positions below the top period d from largest to smallest, so
     # each multiple is counted once, by the largest period dividing it, which
     # is "multiples of T below d that no larger period divides". One byte per
@@ -85,8 +84,8 @@ def _direct_frequencies(periods: Sequence[int]) -> list[int]:
 
 
 def _inclusion_exclusion_frequencies(periods: Sequence[int]) -> list[int]:
-    # Inclusion-exclusion oracle, independent of the lattice recurrence and
-    # of the claiming count above: a larger period U divides a*T iff the
+    # Inclusion-exclusion oracle, independent of the subset lattice and of
+    # the claiming count above: a larger period U divides a*T iff the
     # reduced modulus U // gcd(U, T) divides a, so the multiples of T below
     # d that avoid every larger period are a signed subset sum over those
     # moduli. A modulus that another one divides excludes nothing more, so
@@ -209,16 +208,18 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
         if key in seen or t.d > 10**6:
             continue
         seen.add(key)
-        periods = reeb_periods(t, limits)
+        # the oracles get the periods from a subset walk, independent of the lattice
+        subsets = (s for k in range(2, t.length + 1) for s in combinations(t.entries, k))
+        periods = sorted({math.lcm(*s) for s in subsets})
         if not (
-            frequencies(periods)
+            frequencies(t)
             == _inclusion_exclusion_frequencies(periods)
             == _direct_frequencies(periods)
         ):
             return False, f"frequency mismatch for {t}"
         checked += 1
     return True, (
-        f"{checked} tuples with d <= 10^6: recurrence, inclusion-exclusion "
+        f"{checked} tuples with d <= 10^6: subset lattice, inclusion-exclusion "
         "and direct count agree"
     )
 

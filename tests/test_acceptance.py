@@ -194,13 +194,13 @@ def test_criterion_08_frequency_oracle_equivalence():
             continue
         seen.add(key)
         periods = reeb_periods(t)
-        if frequencies(periods) != naive_frequencies(periods):
+        if frequencies(t) != naive_frequencies(periods):
             mismatches += 1
         checked += 1
     ok = mismatches == 0 and checked > 0
     report(
         8,
-        "lattice-recurrence frequencies equal the naive oracle's counts whenever d <= 10^6",
+        "subset-lattice frequencies equal the naive oracle's counts whenever d <= 10^6",
         ok,
         f"{checked} tuples",
     )

@@ -6,6 +6,8 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+import brieskorn.certify
+import brieskorn.cli
 from brieskorn.certify import read_certificates
 from brieskorn.cli import main
 from envelope_schema import ENVELOPE_SCHEMA, FRACTION_SCHEMA
@@ -200,6 +202,27 @@ def test_search_includes_reference_certificate(tmp_path, capsys):
     assert len(ref) == 1
     assert ref[0].chi_sum == Fraction(-507, 2642)
     assert env["result"]["certificates"] == len(certs)
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_search_builds_each_certificate_object_once(tmp_path, capsys, monkeypatch, to_file):
+    honest, calls = brieskorn.certify.certificate_to_obj, []
+
+    def counted(cert):
+        calls.append(cert)
+        return honest(cert)
+
+    monkeypatch.setattr(brieskorn.certify, "certificate_to_obj", counted)
+    monkeypatch.setattr(brieskorn.cli, "certificate_to_obj", counted)
+    out_path = tmp_path / "certs.jsonl"
+    argv = ["search", "--max-exponent", "8"] + (["--out", str(out_path)] if to_file else [])
+    code, env, _ = run_json(capsys, *argv)
+    assert code == 0
+    listed = env["result"]["certificate_list"]
+    assert len(calls) == len(listed) == env["result"]["certificates"] > 0
+    if to_file:
+        lines = out_path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == listed
 
 
 def test_search_no_spheres_no_certificates(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+import tracemalloc
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -8,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brieskorn.errors import InvalidInputError, PreconditionError
+import brieskorn.reeb
+from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
+from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
+    _lattice,
     connected_sum_chi,
     frequencies,
     has_isolated_exponent,
@@ -19,9 +24,15 @@ from brieskorn.reeb import (
     stratum,
     total_rs_index,
 )
-from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime
+from brieskorn.topology import ExponentTuple, _kappa_sorted, make_tuple, pairwise_coprime
 from brieskorn.verify import _inclusion_exclusion_frequencies
-from oracles import fraction_connected_sum, naive_frequencies
+from oracles import (
+    brieskorn_pham_kappa,
+    fraction_connected_sum,
+    naive_frequencies,
+    per_stratum_mean_euler,
+    subset_periods,
+)
 
 wide_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=8
@@ -45,6 +56,46 @@ def test_periods_end_at_d_and_divide_it(t):
     assert periods[-1] == t.d
     assert all(t.d % p == 0 for p in periods)
     assert periods == sorted(set(periods))
+    assert periods == subset_periods(t.entries)
+
+
+# ------------------------------------------------------ subset lattice
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=12), min_size=2, max_size=5).filter(
+        lambda xs: math.prod(x - 1 for x in xs) <= 20_000
+    )
+)
+def test_lattice_kappa_matches_both_routes_on_every_subtuple(entries):
+    # the bounds of test_kappa_matches_brieskorn_pham_count
+    kap = _lattice(ExponentTuple(tuple(entries)), DEFAULT_LIMITS)[1]
+    for J in range(1 << len(entries)):
+        sub = [e for j, e in enumerate(entries) if J >> j & 1]
+        assert kap[J] == _kappa_sorted(tuple(sorted(sub))) == brieskorn_pham_kappa(sub), sub
+
+
+def test_lattice_cap_fails_before_allocating(monkeypatch):
+    # 17 entries against a cap of 16: each table would hold 2^17 entries,
+    # over 1 MB, so the peak of a check made after allocating shows
+    limits = Limits(subset_cap=16)
+    monkeypatch.setattr(brieskorn.reeb, "DEFAULT_LIMITS", limits)  # frequencies has no limits
+    t = ExponentTuple(tuple(range(2, 19)))
+    calls = {
+        "reeb_periods": lambda: reeb_periods(t, limits),
+        "frequencies": lambda: frequencies(t),
+        "stratum": lambda: stratum(t, 6, limits),
+        "mean_euler": lambda: mean_euler(t, limits),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="cap of 16"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, name
 
 
 # ------------------------------------------------------------ strata
@@ -112,26 +163,27 @@ def test_total_index_examples():
 
 
 def test_frequencies_examples():
-    assert frequencies([2, 6]) == [2, 1]
-    assert frequencies([6, 10, 15, 30]) == [4, 2, 1, 1]
-    assert frequencies([3420]) == [1]
+    assert frequencies(make_tuple([2, 2, 3])) == [2, 1]  # periods 2, 6
+    assert frequencies(make_tuple([2, 3, 5])) == [4, 2, 1, 1]  # periods 6, 10, 15, 30
+    assert frequencies(make_tuple([36, 95])) == [1]  # the one period 3420
 
 
 def test_frequencies_validation():
+    # a list of periods is refused: [2, 3, 12] is not closed under lcm, and
+    # the recurrence over it gave [5, 3, 1], where 4 multiples of 2 below 12
+    # avoid 3 and 12
+    with pytest.raises(InvalidInputError, match="ExponentTuple"):
+        frequencies([2, 3, 12])
     with pytest.raises(InvalidInputError):
-        frequencies([6, 6, 30])
-    with pytest.raises(InvalidInputError):
-        frequencies([4, 6])  # 4 does not divide 6
-    with pytest.raises(InvalidInputError):
-        frequencies([])
+        frequencies((6, 10, 15, 30))
 
 
 @given(wide_tuples)
 @settings(max_examples=60)
 def test_frequencies_match_naive_oracle(t):
-    periods = reeb_periods(t)
+    periods = subset_periods(t.entries)
     if t.d <= 10**5:
-        assert frequencies(periods) == naive_frequencies(periods)
+        assert frequencies(t) == naive_frequencies(periods)
 
 
 @given(wide_tuples)
@@ -139,8 +191,7 @@ def test_frequencies_match_naive_oracle(t):
 def test_frequencies_match_counting_kernel(t):
     # no bound on d: the inclusion-exclusion oracle covers the tuples with
     # d > 10^5 that the naive oracle above skips
-    periods = reeb_periods(t)
-    assert frequencies(periods) == _inclusion_exclusion_frequencies(periods)
+    assert frequencies(t) == _inclusion_exclusion_frequencies(subset_periods(t.entries))
 
 
 # ------------------------------------------------------- mean euler
@@ -187,6 +238,16 @@ def test_mean_euler_report_rejects_inconsistent_fields():
         replace(good, total_index=0)  # defined, yet total index 0
     with pytest.raises(InvalidInputError):
         replace(good, value=None)  # defined, yet no value
+
+
+@given(wide_tuples)
+@settings(max_examples=100)
+def test_mean_euler_matches_per_stratum_route(t):
+    # the lattice pass against periods by a subset walk, frequencies by the
+    # recurrence and one kappa call per stratum
+    report, oracle = mean_euler(t), per_stratum_mean_euler(t)
+    for field in fields(report):
+        assert getattr(report, field.name) == getattr(oracle, field.name), field.name
 
 
 @given(wide_tuples)

@@ -16,7 +16,7 @@ from brieskorn.verify import (
 )
 from oracles import naive_frequencies
 
-# item 8's two oracles besides the recurrence in `reeb.frequencies`
+# item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
     "oracle",
     [_direct_frequencies, _inclusion_exclusion_frequencies],
@@ -58,12 +58,12 @@ def test_item_8_fails_when_frequencies_are_off_by_one(monkeypatch):
     passed, _ = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
     assert passed
 
-    # each of the three routes item 8 compares: recurrence, inclusion-exclusion, direct count
+    # each of the three routes item 8 compares: subset lattice, inclusion-exclusion, direct count
     for route in ("frequencies", "_inclusion_exclusion_frequencies", "_direct_frequencies"):
         honest = getattr(brieskorn.verify, route)
 
-        def off_by_one(periods, honest=honest):
-            out = honest(periods)
+        def off_by_one(arg, honest=honest):  # a tuple for the lattice, periods for the oracles
+            out = honest(arg)
             out[0] += 1
             return out
 
