@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, CertificateFormatError, InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
-from .serialize import fraction_obj, parse_fraction, parse_int
+from .serialize import fraction_obj, parse_fraction, parse_int, tuple_obj
 from .topology import ExponentTuple, evaluate_criterion
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
@@ -179,8 +179,8 @@ def distinctness_classes(
 
 def certificate_to_obj(cert: NonBrieskornCertificate) -> dict:
     return {
-        "tuple_a": [str(e) for e in cert.tuple_a.entries],
-        "tuple_b": [str(e) for e in cert.tuple_b.entries],
+        "tuple_a": tuple_obj(cert.tuple_a),
+        "tuple_b": tuple_obj(cert.tuple_b),
         "chi_a": fraction_obj(cert.chi_a),
         "chi_b": fraction_obj(cert.chi_b),
         "chi_sum": fraction_obj(cert.chi_sum),

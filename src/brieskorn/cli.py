@@ -22,7 +22,7 @@ from .errors import BrieskornError, CapacityError, InvalidInputError
 from .families import closed_form_checks, fermat_asymptotics_report, sigma_family_rows
 from .limits import Limits, limits_from_env
 from .reeb import connected_sum_chi, mean_euler
-from .serialize import fraction_obj
+from .serialize import fraction_obj, parse_int, tuple_obj
 from .topology import ExponentTuple, build_graph, evaluate_criterion, kappa, chi_s1
 from .verify import run_reproduction_suite
 
@@ -33,25 +33,14 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 
-def _parse_int_token(token: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise InvalidInputError(f"not an integer: {token!r}") from None
-
-
 def _parse_tuple_tokens(tokens: list[str]) -> ExponentTuple:
     """Accept `4 5 9 19` as well as `4,5,9,19` (and mixtures)."""
     entries = []
     for token in tokens:
         for piece in token.split(","):
             if piece:
-                entries.append(_parse_int_token(piece))
+                entries.append(parse_int(piece, "tuple entry"))
     return ExponentTuple(tuple(entries))
-
-
-def _tuple_json(t: ExponentTuple) -> list[str]:
-    return [str(e) for e in t.entries]
 
 
 def _opt_fraction_json(q: Fraction | None):
@@ -107,7 +96,7 @@ def _cmd_criterion(args) -> int:
            if ec else "empty"),
     ]
     result = {
-        "tuple": _tuple_json(t),
+        "tuple": tuple_obj(t),
         "verdict": verdict.kind.value,
         "is_sphere": verdict.is_sphere,
         "components": [sorted(c) for c in graph.components],
@@ -118,7 +107,7 @@ def _cmd_criterion(args) -> int:
             "pairwise_gcd2": verdict.even_component_pairwise_gcd2,
         },
     }
-    _emit(args, _envelope("criterion", {"tuple": _tuple_json(t)}, result, []), human)
+    _emit(args, _envelope("criterion", {"tuple": tuple_obj(t)}, result, []), human)
     return EXIT_OK
 
 
@@ -126,7 +115,7 @@ def _stratum_json(s) -> dict:
     return {
         "period": str(s.period),
         "indices": list(s.indices),
-        "subtuple": _tuple_json(s.subtuple),
+        "subtuple": tuple_obj(s.subtuple),
         "m_t": s.m_t,
         "dim": s.dim,
         "quotient_dim": s.quotient_dim,
@@ -160,7 +149,7 @@ def _cmd_invariants(args) -> int:
                 f"mu_RS={s.mu_rs:<8} phi={s.frequency:<8} chi_S1={s.chi_s1}"
             )
     result = {
-        "tuple": _tuple_json(t),
+        "tuple": tuple_obj(t),
         "n": t.n,
         "dimension": t.dimension,
         "d": str(t.d),
@@ -172,7 +161,7 @@ def _cmd_invariants(args) -> int:
     }
     if args.strata:
         result["strata"] = [_stratum_json(s) for s in report.strata]
-    _emit(args, _envelope("invariants", {"tuple": _tuple_json(t), "strata": bool(args.strata)},
+    _emit(args, _envelope("invariants", {"tuple": tuple_obj(t), "strata": bool(args.strata)},
                           result, []), human)
     return EXIT_OK
 
@@ -217,21 +206,21 @@ def _cmd_sum(args) -> int:
         "n": 3,
         "dimension": 5,
         "summands": [
-            {"tuple": _tuple_json(t), "chi_m": fraction_obj(v)}
+            {"tuple": tuple_obj(t), "chi_m": fraction_obj(v)}
             for t, v in zip(tuples, values)
         ],
         "chi_sum": fraction_obj(total),
         "certified_non_brieskorn": certified,
         "boundary": total == 0,
     }
-    _emit(args, _envelope("sum", {"tuples": [_tuple_json(t) for t in tuples]}, result, []), human)
+    _emit(args, _envelope("sum", {"tuples": [tuple_obj(t) for t in tuples]}, result, []), human)
     return EXIT_OK
 
 
 def _family_row_json(row) -> dict:
     return {
         "m": str(row.parameter),
-        "tuple": _tuple_json(row.exponents),
+        "tuple": tuple_obj(row.exponents),
         "verdict": row.verdict.kind.value,
         "pairwise_coprime": row.pairwise_coprime,
         "chi_m": _opt_fraction_json(row.chi_m),
@@ -289,7 +278,7 @@ def _cmd_family(args) -> int:
             "rows": [
                 {
                     "ell": r.ell,
-                    "tuple": _tuple_json(r.exponents),
+                    "tuple": tuple_obj(r.exponents),
                     "chi_m": fraction_obj(r.chi_m),
                     "signed_chi": fraction_obj(r.signed_chi),
                     "ratio": fraction_obj(r.ratio),

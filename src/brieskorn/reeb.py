@@ -13,9 +13,9 @@ Per stratum the relevant data are its Robbin-Salamon index
 
 its equivariant Euler characteristic, and its frequency: the number of
 multiples of T below the top period d that are not multiples of any larger
-period. Periods, frequencies and every kappa (Milnor-Orlik) come from one
-lcm per subset of entries and two fast Moebius transforms over that subset
-lattice ("Fourier meets Moebius", Bjorklund et al. 2007). The mean Euler
+period. Periods, frequencies and every kappa are read from one
+`topology.subset_lattice` table; this module only chooses its strata, the
+closed subsets of two or more entries and the whole tuple. The mean Euler
 characteristic combines them into one exact rational divided by the total
 index 2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and
 is defined whenever that total index is nonzero.
@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
+from .errors import BrieskornError, InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
-from .topology import ExponentTuple, noncoprime_pair
+from .topology import ExponentTuple, _chi_s1, noncoprime_pair, subset_lattice
 
 __all__ = [
     "Stratum",
@@ -85,44 +84,14 @@ class MeanEulerReport:
             raise InvalidInputError(f"value {self.value} contradicts defined={self.defined}")
 
 
-def _lattice(a: ExponentTuple, limits: Limits) -> tuple[list[tuple[int, int, int]], list[int]]:
+def _strata_rows(a: ExponentTuple, limits: Limits) -> list[tuple[int, int, int]]:
     """The strata as (period, frequency, kappa of the entries dividing the
-    period), by period, and kappa[J] for every subset J of entry positions.
-
-    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
-    have J(x) containing J, the superset Moebius transform of these counts
-    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
-    dividing lcm(J) is in J), as J(x) is, so its nonzero entries with
-    |J| >= 2 are the strata below d, which has frequency 1 by convention.
-    kappa is the subset Moebius transform of the quotients prod // lcm.
+    period), by period: the closed subsets of two or more positions, whose
+    frequencies are nonzero, and the top period d with frequency 1.
     """
-    L, entries = a.length, a.entries
-    if L > limits.subset_cap:
-        raise CapacityError(f"the period lattice walks 2^{L} subsets, exceeding the "
-                            f"length cap of {limits.subset_cap}")
-    size = 1 << L
-    lcm, kap = [1] * size, [1] * size  # kap holds prod[J] until the quotients replace it
-    for J in range(1, size):  # from J without its lowest position
-        low = J & -J
-        lcm[J] = math.lcm(lcm[J ^ low], entries[low.bit_length() - 1])
-        kap[J] = kap[J ^ low] * entries[low.bit_length() - 1]
-    for J in range(1, size):
-        kap[J], rem = divmod(kap[J], lcm[J])
-        if rem:
-            raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
-    for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
-        if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
-            raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
-    d = lcm[-1]
-    freq = [d // m - 1 for m in lcm]
-    for i in range(L):
-        bit = 1 << i
-        for base in range(0, size, 2 * bit):
-            for J in range(base, base + bit):
-                freq[J] -= freq[J | bit]
-                kap[J | bit] -= kap[J]
-    rows = sorted((lcm[J], freq[J], kap[J]) for J in range(size - 1) if freq[J] and J & (J - 1))
-    return rows + [(d, 1, kap[-1])], kap
+    lcm, freq, kap = subset_lattice(a, limits)
+    rows = sorted((lcm[J], freq[J], kap[J]) for J in range(len(lcm) - 1) if freq[J] and J & (J - 1))
+    return rows + [(lcm[-1], 1, kap[-1])]
 
 
 def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
@@ -130,7 +99,7 @@ def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]
 
     The largest entry is always d, the lcm of the whole tuple.
     """
-    return [T for T, _, _ in _lattice(a, limits)[0]]
+    return [T for T, _, _ in _strata_rows(a, limits)]
 
 
 def _floor_ceil_index(a: ExponentTuple, T: int) -> int:
@@ -156,8 +125,7 @@ def _build_stratum(a: ExponentTuple, T: int, frequency: int, kappa: int) -> Stra
         dim=2 * m_t - 3,
         quotient_dim=2 * m_t - 4,
         mu_rs=mu,
-        # chi_S1 = n + (-1)^(n-1) kappa on the subtuple, which has n = m_t - 1
-        chi_s1=m_t - 1 + (-1) ** m_t * kappa,
+        chi_s1=_chi_s1(m_t, kappa),
         frequency=frequency,
     )
 
@@ -166,14 +134,12 @@ def frequencies(a: ExponentTuple) -> list[int]:
     """Frequency of each period of `reeb_periods(a)`: the multiples of it
     below the top period d that no larger period divides. The top period
     itself has frequency 1 by convention."""
-    if not isinstance(a, ExponentTuple):
-        raise InvalidInputError(f"frequencies take an ExponentTuple, got {type(a).__name__}")
-    return [f for _, f, _ in _lattice(a, DEFAULT_LIMITS)[0]]
+    return [f for _, f, _ in _strata_rows(a, DEFAULT_LIMITS)]
 
 
 def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratum:
     """Fully populated stratum for one period of the flow on `a`."""
-    rows = {row[0]: row for row in _lattice(a, limits)[0]}
+    rows = {row[0]: row for row in _strata_rows(a, limits)}
     if T not in rows:
         raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {list(rows)}")
     return _build_stratum(a, *rows[T])
@@ -193,8 +159,9 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
     prefactor (-1)^(n+1); the index parity relation makes these agree and
     the agreement is enforced.
     """
+    # the lattice first: it refuses what is not an ExponentTuple
+    strata = tuple(_build_stratum(a, *row) for row in _strata_rows(a, limits))
     total = total_rs_index(a)
-    strata = tuple(_build_stratum(a, *row) for row in _lattice(a, limits)[0])
 
     numerator_global = sum(s.frequency * s.chi_s1 for s in strata)
     numerator_stratified = sum(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .topology import ExponentTuple
 
 
 def parse_int(s, what: str = "integer") -> int:
@@ -21,6 +22,10 @@ def parse_int(s, what: str = "integer") -> int:
         return int(s, 10)
     except ValueError:
         raise InvalidInputError(f"{what} is not a decimal integer: {s!r}") from None
+
+
+def tuple_obj(t: ExponentTuple) -> list[str]:
+    return [str(e) for e in t.entries]
 
 
 def fraction_obj(q: Fraction) -> dict[str, str]:

@@ -13,6 +13,12 @@ criterion reads the homeomorphism type of the manifold off that graph:
 For tuples of length >= 4 either condition is equivalent to the manifold
 being a topological sphere. For length 3 the same graph conditions detect
 an integral homology 3-sphere and no homeomorphism claim is made.
+
+The subset lattice holds, for every subset J of entry positions, the lcm
+of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),
+all from one lcm and one product per subset and two fast Moebius transforms
+("Fourier meets Moebius", Bjorklund et al. 2007). `kappa`, `chi_s1`, the
+subtuple positivity check and the Reeb strata of `reeb` all read it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -211,46 +217,72 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
 
 
+def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[int], list[int]]:
+    """lcm[J], freq[J] and kappa[J] for every subset J of entry positions.
+
+    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
+    have J(x) containing J, the superset Moebius transform of these counts
+    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
+    dividing lcm(J) is in J), as J(x) is. kappa is the subset Moebius
+    transform of the quotients prod // lcm. Each table has 2^L entries, so
+    the length is capped before any is allocated.
+    """
+    if not isinstance(a, ExponentTuple):
+        raise InvalidInputError(f"the subset lattice takes an ExponentTuple, "
+                                f"got {type(a).__name__}")
+    L, entries = a.length, a.entries
+    if L > limits.subset_cap:
+        raise CapacityError(f"the subset lattice walks 2^{L} subsets, exceeding the "
+                            f"length cap of {limits.subset_cap}")
+    size = 1 << L
+    lcm, kap = [1] * size, [1] * size  # kap holds prod[J] until the quotients replace it
+    for J in range(1, size):  # from J without its lowest position
+        low = J & -J
+        lcm[J] = math.lcm(lcm[J ^ low], entries[low.bit_length() - 1])
+        kap[J] = kap[J ^ low] * entries[low.bit_length() - 1]
+    for J in range(1, size):
+        kap[J], rem = divmod(kap[J], lcm[J])
+        if rem:
+            raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
+    for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
+        if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
+            raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
+    d = lcm[-1]
+    freq = [d // m - 1 for m in lcm]
+    for i in range(L):
+        bit = 1 << i
+        for base in range(0, size, 2 * bit):
+            for J in range(base, base + bit):
+                freq[J] -= freq[J | bit]
+                kap[J | bit] -= kap[J]
+    return lcm, freq, kap
+
+
 # Bounded so a long-lived process cannot grow it without limit. `mean_euler`
-# reads kappa from its subset lattice and does not call this, so the
-# reproduction suite asks for ~1k distinct tuples, far below 2**16.
+# reads kappa from its own lattice and does not call this, so the
+# reproduction suite asks for ~1k distinct tuples, far below 2**16. The
+# limits are part of the key, so a cached value never bypasses a smaller cap.
 @lru_cache(maxsize=2**16)
-def _kappa_sorted(entries: tuple[int, ...]) -> int:
-    # Alternating sum over all subsets of product/lcm quotients. The quotient
-    # is an integer for every subset (the lcm divides the product); the pair
-    # layer reproduces the pairwise gcds.
-    L = len(entries)
-    total = 0
-    for k in range(L + 1):
-        sign = (-1) ** (L - k)
-        for subset in combinations(entries, k):
-            # the empty subset has product 1 and lcm 1
-            quotient, rem = divmod(math.prod(subset), math.lcm(*subset))
-            if rem or (k == 1 and quotient != 1) or (
-                k == 2 and quotient != math.gcd(subset[0], subset[1])
-            ):
-                raise BrieskornError(f"product/lcm quotient check fails on {subset}")
-            total += sign * quotient
-    return total
+def _kappa_sorted(entries: tuple[int, ...], limits: Limits) -> int:
+    return subset_lattice(ExponentTuple(entries), limits)[2][-1]
 
 
 def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
     """Rank of the middle-degree homology of the manifold of `a`.
 
-    Computed by the full 2^L subset expansion, so the length is capped.
+    The top entry of the subset lattice, so the length is capped.
     """
-    if a.length > limits.subset_cap:
-        raise CapacityError(
-            f"homology rank enumerates 2^{a.length} subsets, exceeding the "
-            f"length cap of {limits.subset_cap}"
-        )
-    return _kappa_sorted(tuple(sorted(a.entries)))
+    return _kappa_sorted(tuple(sorted(a.entries)), limits)
+
+
+def _chi_s1(m: int, k: int) -> int:
+    # chi_S1 = n + (-1)^(n-1) kappa for a tuple of m = n + 1 entries
+    return m - 1 + (-1) ** m * k
 
 
 def chi_s1(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
     """Circle-equivariant Euler characteristic: n + (-1)^(n-1) * kappa(a)."""
-    n = a.n
-    return n + (-1) ** (n - 1) * kappa(a, limits)
+    return _chi_s1(a.length, kappa(a, limits))
 
 
 def invariant_subtuples(
@@ -323,11 +355,12 @@ def check_subtuple_positivity(
     if not verdict.is_sphere:
         raise PreconditionError(f"{a} is not a sphere tuple (verdict {verdict.kind.value})")
 
+    kap = subset_lattice(a, limits)[2]
     checks = []
     falsifications = []
     for indices, b in invariant_subtuples(a, min_length=2):
-        k = kappa(b, limits)
-        chi = chi_s1(b, limits)
+        k = kap[sum(1 << i for i in indices)]
+        chi = _chi_s1(len(indices), k)
         checks.append(SubtupleCheck(indices, b, k, chi))
         if len(indices) == 3 and k != 0:
             falsifications.append(f"kappa{b} = {k}, expected 0")

@@ -71,6 +71,19 @@ def fraction_connected_sum(values, n):
     return sum(values, start=Fraction(0)) + (len(values) - 1) * correction
 
 
+def alternating_kappa(entries):
+    # Milnor-Orlik: the alternating sum over all subsets of the product/lcm
+    # quotients, of any length (the empty subset has product 1 and lcm 1)
+    L = len(entries)
+    total = 0
+    for k in range(L + 1):
+        for subset in combinations(entries, k):
+            quotient, rem = divmod(math.prod(subset), math.lcm(*subset))
+            assert rem == 0, subset
+            total += (-1) ** (L - k) * quotient
+    return total
+
+
 def brieskorn_pham_kappa(entries):
     # Brieskorn-Pham: the middle homology rank counts the exponent vectors
     # 0 < i_j < a_j with sum_j i_j / a_j an integer; over L = lcm(a) that is

@@ -14,7 +14,6 @@ import brieskorn.reeb
 from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
-    _lattice,
     connected_sum_chi,
     frequencies,
     has_isolated_exponent,
@@ -24,9 +23,10 @@ from brieskorn.reeb import (
     stratum,
     total_rs_index,
 )
-from brieskorn.topology import ExponentTuple, _kappa_sorted, make_tuple, pairwise_coprime
+from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime, subset_lattice
 from brieskorn.verify import _inclusion_exclusion_frequencies
 from oracles import (
+    alternating_kappa,
     brieskorn_pham_kappa,
     fraction_connected_sum,
     naive_frequencies,
@@ -69,10 +69,10 @@ def test_periods_end_at_d_and_divide_it(t):
 )
 def test_lattice_kappa_matches_both_routes_on_every_subtuple(entries):
     # the bounds of test_kappa_matches_brieskorn_pham_count
-    kap = _lattice(ExponentTuple(tuple(entries)), DEFAULT_LIMITS)[1]
+    kap = subset_lattice(ExponentTuple(tuple(entries)), DEFAULT_LIMITS)[2]
     for J in range(1 << len(entries)):
         sub = [e for j, e in enumerate(entries) if J >> j & 1]
-        assert kap[J] == _kappa_sorted(tuple(sorted(sub))) == brieskorn_pham_kappa(sub), sub
+        assert kap[J] == alternating_kappa(sub) == brieskorn_pham_kappa(sub), sub
 
 
 def test_lattice_cap_fails_before_allocating(monkeypatch):
@@ -96,6 +96,16 @@ def test_lattice_cap_fails_before_allocating(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 100_000, name
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [reeb_periods, frequencies, lambda a: stratum(a, 6), mean_euler],
+    ids=["reeb_periods", "frequencies", "stratum", "mean_euler"],
+)
+def test_lattice_readers_refuse_a_plain_list(reader):
+    with pytest.raises(InvalidInputError, match="ExponentTuple"):
+        reader([2, 3])
 
 
 # ------------------------------------------------------------ strata

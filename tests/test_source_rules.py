@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import brieskorn
 
 SOURCES = sorted(Path(brieskorn.__file__).parent.glob("*.py"))
@@ -20,4 +22,65 @@ def test_package_source_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert len(SOURCES) > 1
+    assert found == []
+
+
+def _positive_int(node) -> bool:
+    # a literal integer expression such as 2**16, evaluated without names
+    try:
+        value = eval(compile(ast.Expression(node), "<maxsize>", "eval"), {"__builtins__": {}})
+    except Exception:
+        return False
+    return type(value) is int and value > 0
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that use `functools.cache`, or `lru_cache` without a finite
+    integer `maxsize` given as its first argument or by keyword."""
+    tree = ast.parse(source)
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and (
+            isinstance(node.value, ast.Name) and node.value.id == "functools"
+        ):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+            isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        ):
+            call = calls.get(id(node))
+            sizes = [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+            if call and call.args:
+                sizes.append(call.args[0])
+            if len(sizes) != 1 or not _positive_int(sizes[0]):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from functools import lru_cache\n@lru_cache(maxsize=2**16)\ndef f(x): pass", []),
+        ("import functools\n@functools.lru_cache(128)\ndef f(x): pass", []),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache(None)\ndef f(x): pass", [2]),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", [2]),
+        ("import functools\nf = functools.lru_cache(maxsize=N)(len)", [2]),
+        ("from functools import cache\n@cache\ndef f(x): pass", [1]),
+        ("import functools\n@functools.cache\ndef f(x): pass", [2]),
+    ],
+)
+def test_unbounded_cache_rule(source, lines):
+    assert unbounded_caches(source) == lines
+
+
+def test_package_caches_are_bounded():
+    # no cache grows without bound in a long-lived process
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in unbounded_caches(path.read_text(encoding="utf-8"))
+    ]
     assert found == []

@@ -12,6 +12,7 @@ from brieskorn.limits import Limits
 from brieskorn.topology import (
     ExponentTuple,
     SphereKind,
+    SubtupleCheck,
     build_graph,
     check_subtuple_positivity,
     chi_s1,
@@ -23,7 +24,7 @@ from brieskorn.topology import (
     pairwise_coprime,
     _kappa_sorted,
 )
-from oracles import brieskorn_pham_kappa
+from oracles import alternating_kappa, brieskorn_pham_kappa
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=6
@@ -194,8 +195,11 @@ def test_kappa_cache_is_bounded():
 
 
 def test_kappa_respects_length_cap():
-    with pytest.raises(CapacityError):
-        kappa(make_tuple([2, 3, 5, 7]), Limits(subset_cap=3))
+    # also when the default cap has cached the value
+    t = make_tuple([2, 3, 5, 7])
+    assert kappa(t) == kappa(t) == 0
+    with pytest.raises(CapacityError, match="cap of 3"):
+        kappa(t, Limits(subset_cap=3))
 
 
 @given(small_tuples)
@@ -289,10 +293,18 @@ def test_subtuple_positivity_reference_tuple():
 
 
 def test_subtuple_positivity_all_small_spheres():
+    # every check against the oracle and n + (-1)^(n-1) kappa, n = length - 1
     for entries in combinations_with_replacement(range(2, 11), 4):
         t = ExponentTuple(entries)
-        if evaluate_criterion(t).is_sphere:
-            assert check_subtuple_positivity(t).passed, entries
+        if not evaluate_criterion(t).is_sphere:
+            continue
+        expected = []
+        for indices, b in invariant_subtuples(t, 2):
+            k, n = alternating_kappa(b.entries), len(indices) - 1
+            expected.append(SubtupleCheck(indices, b, k, n + (-1) ** (n - 1) * k))
+        report = check_subtuple_positivity(t)
+        assert report.passed, entries
+        assert report.checks == tuple(expected), entries
 
 
 def test_subtuple_positivity_rejects_wrong_length():
