@@ -15,7 +15,9 @@ its equivariant Euler characteristic, and its frequency: the number of
 multiples of T below the top period d that are not multiples of any larger
 period. Periods, frequencies and every kappa are read from one
 `topology.subset_lattice` table; this module only chooses its strata, the
-closed subsets of two or more entries and the whole tuple. The mean Euler
+closed subsets of two or more entries and the whole tuple, and builds them
+in one loop over those rows. A `Stratum` is a named tuple, so it unpacks in
+field order and compares equal to a plain tuple of its values. The mean Euler
 characteristic combines them into one exact rational divided by the total
 index 2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and
 is defined whenever that total index is nonzero.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BrieskornError, InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
@@ -46,13 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """All T-periodic points of the Reeb flow, itself a Brieskorn manifold.
 
     `indices` are the positions j with a_j | T, `subtuple` the exponents on
     them, `m_t` their count. The stratum has dimension 2*m_t - 3 and its
-    orbit space dimension 2*m_t - 4.
+    orbit space dimension 2*m_t - 4. An immutable named tuple: it unpacks in
+    field order and compares equal to a plain tuple of the same values.
     """
 
     period: int
@@ -102,32 +104,28 @@ def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]
     return [T for T, _, _ in _strata_rows(a, limits)]
 
 
-def _floor_ceil_index(a: ExponentTuple, T: int) -> int:
-    # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e)
-    return sum(T // e - -T // e for e in a.entries) - 2 * T
-
-
-def _build_stratum(a: ExponentTuple, T: int, frequency: int, kappa: int) -> Stratum:
-    indices = tuple(j for j, e in enumerate(a.entries) if T % e == 0)
-    # a period is an lcm of >= 2 entries, so at least those entries divide it
-    if len(indices) < 2:
-        raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
-    m_t = len(indices)
-    mu = _floor_ceil_index(a, T)
-    # Each exponent not dividing T contributes an odd floor+ceil term.
-    if (mu - (a.n + 1 - m_t)) % 2 != 0:
-        raise BrieskornError(f"index parity fails for {a} at period {T}: mu_RS = {mu}")
-    return Stratum(
-        period=T,
-        indices=indices,
-        subtuple=a.subtuple(indices),
-        m_t=m_t,
-        dim=2 * m_t - 3,
-        quotient_dim=2 * m_t - 4,
-        mu_rs=mu,
-        chi_s1=_chi_s1(m_t, kappa),
-        frequency=frequency,
-    )
+def _build_strata(
+    a: ExponentTuple, rows: Sequence[tuple[int, int, int]]
+) -> tuple[Stratum, ...]:
+    """The strata of the flow on `a` for its (period, frequency, kappa) rows."""
+    entries = a.entries
+    L = len(entries)
+    positions = range(L)
+    strata = []
+    for T, frequency, kappa in rows:
+        indices = tuple([j for j in positions if T % entries[j] == 0])
+        m_t = len(indices)
+        # a period is an lcm of >= 2 entries, so at least those entries divide it
+        if m_t < 2:
+            raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
+        # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e)
+        mu = sum([T // e - -T // e for e in entries]) - 2 * T
+        # Each exponent not dividing T contributes an odd floor+ceil term.
+        if (mu - (L - m_t)) % 2 != 0:
+            raise BrieskornError(f"index parity fails for {a} at period {T}: mu_RS = {mu}")
+        strata.append(Stratum(T, indices, a.subtuple(indices), m_t, 2 * m_t - 3, 2 * m_t - 4,
+                              mu, _chi_s1(m_t, kappa), frequency))
+    return tuple(strata)
 
 
 def frequencies(a: ExponentTuple) -> list[int]:
@@ -142,7 +140,7 @@ def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratu
     rows = {row[0]: row for row in _strata_rows(a, limits)}
     if T not in rows:
         raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {list(rows)}")
-    return _build_stratum(a, *rows[T])
+    return _build_strata(a, [rows[T]])[0]
 
 
 def total_rs_index(a: ExponentTuple) -> int:
@@ -160,14 +158,14 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
     the agreement is enforced.
     """
     # the lattice first: it refuses what is not an ExponentTuple
-    strata = tuple(_build_stratum(a, *row) for row in _strata_rows(a, limits))
+    strata = _build_strata(a, _strata_rows(a, limits))
     total = total_rs_index(a)
 
-    numerator_global = sum(s.frequency * s.chi_s1 for s in strata)
-    numerator_stratified = sum(
+    numerator_global = sum([s.frequency * s.chi_s1 for s in strata])
+    numerator_stratified = sum([
         (-1) ** ((s.mu_rs - (s.quotient_dim // 2)) % 2) * s.frequency * s.chi_s1
         for s in strata
-    )
+    ])
     global_sign = (-1) ** (a.n + 1)
     if numerator_stratified != global_sign * numerator_global:
         raise BrieskornError(
@@ -239,9 +237,11 @@ def has_isolated_exponent(a: ExponentTuple) -> bool:
     """True iff some entry is coprime to all the others.
 
     A sufficient condition for the mean Euler characteristic to be defined:
-    with an isolated exponent the unit-fraction sum cannot equal 1.
+    with an isolated exponent the unit-fraction sum cannot equal 1. An entry
+    is coprime to all the others iff it is coprime to their product.
     """
-    for i, e in enumerate(a.entries):
-        if all(math.gcd(e, f) == 1 for j, f in enumerate(a.entries) if j != i):
+    prod = math.prod(a.entries)
+    for e in a.entries:
+        if math.gcd(e, prod // e) == 1:
             return True
     return False

@@ -81,7 +81,18 @@ class ExponentTuple:
         return ExponentTuple(tuple(sorted(self.entries)))
 
     def subtuple(self, indices: Sequence[int]) -> "ExponentTuple":
-        return ExponentTuple(tuple(self.entries[i] for i in indices))
+        """The entries at `indices`, in that order.
+
+        They are entries of this tuple, so they are not validated again;
+        only their count is checked.
+        """
+        entries = self.entries
+        sub = tuple([entries[i] for i in indices])
+        if len(sub) < 2:
+            raise InvalidInputError(f"an exponent tuple needs at least 2 entries, got {len(sub)}")
+        t = object.__new__(ExponentTuple)
+        object.__setattr__(t, "entries", sub)
+        return t
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -217,6 +228,13 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
 
 
+def _require_exponent_tuple(a) -> None:
+    # the readers of the lattice refuse anything else before reading its fields
+    if not isinstance(a, ExponentTuple):
+        raise InvalidInputError(f"the subset lattice takes an ExponentTuple, "
+                                f"got {type(a).__name__}")
+
+
 def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[int], list[int]]:
     """lcm[J], freq[J] and kappa[J] for every subset J of entry positions.
 
@@ -227,9 +245,7 @@ def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[in
     transform of the quotients prod // lcm. Each table has 2^L entries, so
     the length is capped before any is allocated.
     """
-    if not isinstance(a, ExponentTuple):
-        raise InvalidInputError(f"the subset lattice takes an ExponentTuple, "
-                                f"got {type(a).__name__}")
+    _require_exponent_tuple(a)
     L, entries = a.length, a.entries
     if L > limits.subset_cap:
         raise CapacityError(f"the subset lattice walks 2^{L} subsets, exceeding the "
@@ -272,6 +288,7 @@ def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
 
     The top entry of the subset lattice, so the length is capped.
     """
+    _require_exponent_tuple(a)
     return _kappa_sorted(tuple(sorted(a.entries)), limits)
 
 
@@ -282,7 +299,8 @@ def _chi_s1(m: int, k: int) -> int:
 
 def chi_s1(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
     """Circle-equivariant Euler characteristic: n + (-1)^(n-1) * kappa(a)."""
-    return _chi_s1(a.length, kappa(a, limits))
+    k = kappa(a, limits)  # first: it refuses what is not an ExponentTuple
+    return _chi_s1(a.length, k)
 
 
 def invariant_subtuples(
@@ -347,6 +365,7 @@ def check_subtuple_positivity(
     a: ExponentTuple, limits: Limits = DEFAULT_LIMITS
 ) -> SubtuplePositivityReport:
     """Verify kappa = 0 on all triples and chi^{S1} > 0 on all subtuples."""
+    _require_exponent_tuple(a)
     if a.length != 4:
         raise PreconditionError(
             f"subtuple positivity check applies to 4-tuples, got length {a.length}"

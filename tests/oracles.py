@@ -95,3 +95,11 @@ def brieskorn_pham_kappa(entries):
         for i in product(*(range(1, a) for a in entries))
         if sum(x * w for x, w in zip(i, weights)) % big == 0
     )
+
+
+def pairwise_isolated_exponent(entries):
+    # some entry coprime to each other entry, one gcd per ordered pair
+    return any(
+        all(math.gcd(e, f) == 1 for j, f in enumerate(entries) if j != i)
+        for i, e in enumerate(entries)
+    )

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn.reeb
-from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
+from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
+    Stratum,
     connected_sum_chi,
     frequencies,
     has_isolated_exponent,
@@ -30,6 +31,7 @@ from oracles import (
     brieskorn_pham_kappa,
     fraction_connected_sum,
     naive_frequencies,
+    pairwise_isolated_exponent,
     per_stratum_mean_euler,
     subset_periods,
 )
@@ -147,6 +149,29 @@ def test_top_stratum_index_equals_total():
     for entries in [(2, 3, 5), (4, 5, 9, 19), (2, 2, 3), (6, 10, 15)]:
         t = make_tuple(entries)
         assert stratum(t, t.d).mu_rs == total_rs_index(t)
+
+
+def test_stratum_is_an_immutable_record_in_the_old_field_order():
+    assert Stratum._fields == (
+        "period", "indices", "subtuple", "m_t", "dim", "quotient_dim", "mu_rs", "chi_s1",
+        "frequency",
+    )
+    s = stratum(make_tuple([2, 3, 5]), 6)
+    with pytest.raises(AttributeError):
+        s.mu_rs = 0
+    assert s == (6, (0, 1), make_tuple([2, 3]), 2, 1, 0, 1, 1, 4)
+    assert hash(s) == hash(tuple(s))
+
+
+def test_a_period_divided_by_one_entry_is_refused(monkeypatch):
+    # only 2 divides the period 4 of this row, so it cannot be a Reeb period
+    rows = [(4, 1, 0), (30, 1, 0)]
+    monkeypatch.setattr(brieskorn.reeb, "_strata_rows", lambda a, limits: rows)
+    t = make_tuple([2, 3, 5])
+    with pytest.raises(BrieskornError, match="fewer than two entries"):
+        mean_euler(t)
+    with pytest.raises(BrieskornError, match="fewer than two entries"):
+        stratum(t, 4)
 
 
 @given(wide_tuples)
@@ -379,6 +404,11 @@ def test_has_isolated_exponent_examples():
     assert has_isolated_exponent(make_tuple([4, 5, 9, 19]))
     assert not has_isolated_exponent(make_tuple([2, 4, 6, 12]))
     assert has_isolated_exponent(make_tuple([2, 2, 3]))
+
+
+@given(wide_tuples)
+def test_isolated_exponent_matches_pairwise_definition(t):
+    assert has_isolated_exponent(t) == pairwise_isolated_exponent(t.entries)
 
 
 def test_isolated_exponent_forces_defined_invariant():

@@ -66,6 +66,28 @@ def test_canonical_sorts_entries():
     assert make_tuple([9, 4, 19, 5]).canonical().entries == (4, 5, 9, 19)
 
 
+@given(small_tuples, st.data())
+def test_subtuple_equals_a_validated_tuple(t, data):
+    # subtuple skips the entry checks its entries already passed; the result
+    # must not differ from a tuple built, and validated, from the same entries
+    idx = data.draw(st.lists(st.integers(0, t.length - 1), min_size=2, max_size=t.length))
+    sub = t.subtuple(idx)
+    built = ExponentTuple(tuple(t.entries[i] for i in idx))
+    assert sub == built and hash(sub) == hash(built)
+    assert sub.entries == built.entries and type(sub.entries) is tuple
+
+
+@given(small_tuples, st.lists(st.integers(0, 1), max_size=1))
+def test_subtuple_refuses_fewer_than_two_indices(t, idx):
+    with pytest.raises(InvalidInputError, match="at least 2 entries"):
+        t.subtuple(idx)
+
+
+def test_subtuple_index_out_of_range():
+    with pytest.raises(IndexError):
+        make_tuple([2, 3, 5]).subtuple((0, 3))
+
+
 # ------------------------------------------------------------ graph
 
 
@@ -232,6 +254,14 @@ def test_chi_s1_reference_values():
     assert chi_s1(make_tuple([4, 5, 9, 19])) == 3
     assert chi_s1(make_tuple([2, 2])) == 2  # equals gcd(2, 2)
     assert chi_s1(make_tuple([2, 2, 2, 2])) == 4  # 3 + kappa
+
+
+@pytest.mark.parametrize("reader", [kappa, chi_s1, check_subtuple_positivity],
+                         ids=["kappa", "chi_s1", "check_subtuple_positivity"])
+def test_lattice_readers_in_topology_refuse_a_plain_list(reader):
+    # refused before `entries` or `length` is read, in the lattice's words
+    with pytest.raises(InvalidInputError, match="takes an ExponentTuple, got list"):
+        reader([2, 3, 5, 7])
 
 
 def test_chi_s1_of_pairs_is_gcd():
