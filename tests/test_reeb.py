@@ -24,7 +24,15 @@ from brieskorn.reeb import (
     stratum,
     total_rs_index,
 )
-from brieskorn.topology import ExponentTuple, make_tuple, pairwise_coprime, subset_lattice
+from brieskorn.topology import (
+    ExponentTuple,
+    check_subtuple_positivity,
+    chi_s1,
+    kappa,
+    make_tuple,
+    pairwise_coprime,
+    subset_lattice,
+)
 from brieskorn.verify import _inclusion_exclusion_frequencies
 from oracles import (
     alternating_kappa,
@@ -102,12 +110,15 @@ def test_lattice_cap_fails_before_allocating(monkeypatch):
 
 @pytest.mark.parametrize(
     "reader",
-    [reeb_periods, frequencies, lambda a: stratum(a, 6), mean_euler],
-    ids=["reeb_periods", "frequencies", "stratum", "mean_euler"],
+    [reeb_periods, frequencies, lambda a: stratum(a, 6), mean_euler,
+     kappa, chi_s1, check_subtuple_positivity],
+    ids=["reeb_periods", "frequencies", "stratum", "mean_euler",
+         "kappa", "chi_s1", "check_subtuple_positivity"],
 )
 def test_lattice_readers_refuse_a_plain_list(reader):
-    with pytest.raises(InvalidInputError, match="ExponentTuple"):
-        reader([2, 3])
+    # refused before `entries` or `length` is read, in the lattice's words
+    with pytest.raises(InvalidInputError, match="takes an ExponentTuple, got list"):
+        reader([2, 3, 5, 7])
 
 
 # ------------------------------------------------------------ strata
@@ -151,7 +162,7 @@ def test_top_stratum_index_equals_total():
         assert stratum(t, t.d).mu_rs == total_rs_index(t)
 
 
-def test_stratum_is_an_immutable_record_in_the_old_field_order():
+def test_stratum_is_an_immutable_record_with_fixed_field_order():
     assert Stratum._fields == (
         "period", "indices", "subtuple", "m_t", "dim", "quotient_dim", "mu_rs", "chi_s1",
         "frequency",

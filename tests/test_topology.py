@@ -256,14 +256,6 @@ def test_chi_s1_reference_values():
     assert chi_s1(make_tuple([2, 2, 2, 2])) == 4  # 3 + kappa
 
 
-@pytest.mark.parametrize("reader", [kappa, chi_s1, check_subtuple_positivity],
-                         ids=["kappa", "chi_s1", "check_subtuple_positivity"])
-def test_lattice_readers_in_topology_refuse_a_plain_list(reader):
-    # refused before `entries` or `length` is read, in the lattice's words
-    with pytest.raises(InvalidInputError, match="takes an ExponentTuple, got list"):
-        reader([2, 3, 5, 7])
-
-
 def test_chi_s1_of_pairs_is_gcd():
     for p in range(2, 20):
         for q in range(2, 20):
