@@ -31,12 +31,10 @@ from .families import (
     FamilyRow,
     FermatAsymptoticsReport,
     FermatRow,
-    SigmaFamilyReport,
     derivative_combination,
     fermat_asymptotics_report,
     fermat_number,
     fermat_tuple,
-    sigma_family_report,
     sigma_family_rows,
     sigma_m_closed_form,
     sigma_m_tuple,

@@ -92,23 +92,6 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("m" if i == 1 else f"m^{i}")
-            mag = abs(c)
-            body = mono if (mag == 1 and i > 0) else (str(mag) if i == 0 else f"{mag}*{mono}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
 
 def dominance_margin(p: IntPolynomial, radius: int) -> tuple[int, int]:
     """(leading term at the radius, sum of lower-order absolute values).

@@ -8,6 +8,12 @@ divide m, in which case its mean Euler characteristic has the closed form
 
 The second family consists of consecutive Fermat numbers F_l = 2^(2^l) + 1,
 pairwise coprime by the recursion F_l = F_0 * ... * F_{l-1} + 2.
+
+Each check is made in one place, which the `family` command and
+`verify-paper` share: the closed form's agreement with the general
+algorithm and its strict decrease in `closed_form_checks`, g'h - h'g in
+`derivative_combination`, the denominator's root location by the dominance
+check in `exactarith`, and the product recursion in `fermat_tuple`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
-from .exactarith import IntPolynomial, dominance_check, dominance_margin
+from .exactarith import IntPolynomial
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler, mean_euler_coprime
 from .topology import ExponentTuple, SphereVerdict, evaluate_criterion, pairwise_coprime
@@ -108,76 +114,10 @@ def closed_form_checks(rows: Sequence[FamilyRow]) -> tuple[bool, bool]:
     return agreement, decreasing
 
 
-@dataclass(frozen=True)
-class SigmaFamilyReport:
-    """Exact verification of the m-family over a parameter range.
-
-    closed_form_agreement: general algorithm equals the closed form at every
-        m in range with gcd(m, 3) = 1.
-    strictly_decreasing: the closed-form values decrease strictly along that
-        subsequence.
-    derivative_combination_ok: g'h - h'g, computed by exact polynomial
-        algebra, has the expected coefficient vector.
-    dominance_ok: the denominator's leading term dominates at radius 3, so
-        all its complex roots lie in that disc.
-    derivative_negative_ok: g'h - h'g evaluates negative at every m in range.
-    """
-
-    m_low: int
-    m_high: int
-    rows: tuple[FamilyRow, ...]
-    closed_form_agreement: bool
-    strictly_decreasing: bool
-    derivative_combination: IntPolynomial
-    derivative_combination_ok: bool
-    dominance_witness: tuple[int, int]
-    dominance_ok: bool
-    derivative_negative_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.closed_form_agreement
-            and self.strictly_decreasing
-            and self.derivative_combination_ok
-            and self.dominance_ok
-            and self.derivative_negative_ok
-        )
-
-
 def derivative_combination() -> IntPolynomial:
     """g'h - h'g for the closed form, by exact polynomial algebra."""
     g, h = CHI_NUMERATOR, CHI_DENOMINATOR
     return g.derivative() * h - h.derivative() * g
-
-
-def sigma_family_report(
-    m_low: int, m_high: int, limits: Limits = DEFAULT_LIMITS
-) -> SigmaFamilyReport:
-    """Run the five family checks over [m_low, m_high]."""
-    if not 4 <= m_low < m_high:
-        raise InvalidInputError(f"need 4 <= m_low < m_high, got [{m_low}, {m_high}]")
-    rows = tuple(sigma_family_rows(m_low, m_high, limits))
-    agreement, decreasing = closed_form_checks(rows)
-
-    combo = derivative_combination()
-    combo_ok = combo.coeffs == DERIVATIVE_COMBINATION_COEFFS
-    witness = dominance_margin(CHI_DENOMINATOR, 3)
-    dom_ok = dominance_check(CHI_DENOMINATOR, 3)
-    negative_ok = all(combo.evaluate(m) < 0 for m in range(m_low, m_high + 1))
-
-    return SigmaFamilyReport(
-        m_low,
-        m_high,
-        rows,
-        agreement,
-        decreasing,
-        combo,
-        combo_ok,
-        witness,
-        dom_ok,
-        negative_ok,
-    )
 
 
 def fermat_number(ell: int, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -208,7 +148,7 @@ def fermat_tuple(ell: int, n: int, limits: Limits = DEFAULT_LIMITS) -> ExponentT
             f"Fermat tuple reaches index {ell + n}, exceeding the cap of "
             f"{limits.fermat_cap}"
         )
-    numbers = [2 ** (2**k) + 1 for k in range(ell + n + 1)]
+    numbers = [fermat_number(k, limits) for k in range(ell + n + 1)]
     running = numbers[0]
     for k in range(1, len(numbers)):
         if numbers[k] != running + 2:

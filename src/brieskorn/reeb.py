@@ -128,11 +128,11 @@ def _build_strata(
     return tuple(strata)
 
 
-def frequencies(a: ExponentTuple) -> list[int]:
+def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     """Frequency of each period of `reeb_periods(a)`: the multiples of it
     below the top period d that no larger period divides. The top period
     itself has frequency 1 by convention."""
-    return [f for _, f, _ in _strata_rows(a, DEFAULT_LIMITS)]
+    return [f for _, f, _ in _strata_rows(a, limits)]
 
 
 def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratum:

@@ -23,11 +23,11 @@ from .exactarith import dominance_check, dominance_margin
 from .families import (
     CHI_DENOMINATOR,
     DERIVATIVE_COMBINATION_COEFFS,
+    closed_form_checks,
     derivative_combination,
     fermat_asymptotics_report,
-    fermat_number,
     fermat_tuple,
-    sigma_family_report,
+    sigma_family_rows,
     sigma_m_tuple,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -120,13 +120,12 @@ def _item_1_sigma4_both_routes(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_2_closed_form_agreement(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    report = sigma_family_report(4, 200, limits)
-    ok = report.closed_form_agreement and report.strictly_decreasing
-    n_checked = sum(1 for r in report.rows if r.pairwise_coprime)
-    return ok, (
+    rows = sigma_family_rows(4, 200, limits)
+    agreement, decreasing = closed_form_checks(rows)
+    n_checked = sum(1 for r in rows if r.pairwise_coprime)
+    return agreement and decreasing, (
         f"{n_checked} parameters with gcd(m,3)=1 in [4,200]: "
-        f"agreement={report.closed_form_agreement}, "
-        f"strictly decreasing={report.strictly_decreasing}"
+        f"agreement={agreement}, strictly decreasing={decreasing}"
     )
 
 
@@ -212,7 +211,7 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
         subsets = (s for k in range(2, t.length + 1) for s in combinations(t.entries, k))
         periods = sorted({math.lcm(*s) for s in subsets})
         if not (
-            frequencies(t)
+            frequencies(t, limits)
             == _inclusion_exclusion_frequencies(periods)
             == _direct_frequencies(periods)
         ):
@@ -225,12 +224,7 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_9_fermat_suite(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    numbers = [fermat_number(k, limits) for k in range(8)]
-    running = numbers[0]
-    for k in range(1, 8):
-        if numbers[k] != running + 2:
-            return False, f"product recursion fails at index {k}"
-        running *= numbers[k]
+    fermat_tuple(0, 7, limits)  # raises if the product recursion fails
     verdict = evaluate_criterion(fermat_tuple(2, 3, limits))
     if verdict.kind is not SphereKind.SPHERE_BY_I:
         return False, f"Fermat tuple verdict is {verdict.kind.value}"

@@ -16,11 +16,11 @@ from brieskorn.families import (
     CHI_DENOMINATOR,
     CHI_NUMERATOR,
     DERIVATIVE_COMBINATION_COEFFS,
+    closed_form_checks,
     derivative_combination,
     fermat_asymptotics_report,
     fermat_number,
     fermat_tuple,
-    sigma_family_report,
     sigma_family_rows,
     sigma_m_closed_form,
     sigma_m_tuple,
@@ -89,24 +89,12 @@ def test_family_rows_flag_multiples_of_three():
     assert rows[6].chi_m is not None  # general algorithm still applies
     assert rows[4].agrees is True
     assert rows[4].closed_form == Fraction(407, 2642)
-
-
-def test_family_report_passes_over_small_range():
-    report = sigma_family_report(4, 50)
-    assert report.passed
-    assert report.closed_form_agreement
-    assert report.strictly_decreasing
-    assert report.derivative_combination_ok
-    assert report.dominance_ok
-    assert report.dominance_witness == (1296, 774)
-    assert report.derivative_negative_ok
-
-
-def test_family_report_validates_range():
+    # agreement and strict decrease over the coprime rows, as verify-paper reads them
+    assert closed_form_checks(sigma_family_rows(4, 50)) == (True, True)
     with pytest.raises(InvalidInputError):
-        sigma_family_report(3, 10)
+        sigma_family_rows(1, 5)
     with pytest.raises(InvalidInputError):
-        sigma_family_report(5, 5)
+        sigma_family_rows(5, 4)
 
 
 def test_derivative_combination_coefficients():
@@ -116,6 +104,8 @@ def test_derivative_combination_coefficients():
     g, h = CHI_NUMERATOR, CHI_DENOMINATOR
     direct = g.derivative().evaluate(2) * h.evaluate(2) - h.derivative().evaluate(2) * g.evaluate(2)
     assert combo.evaluate(2) == direct
+    # negative for m >= 1, which makes the closed form strictly decreasing there
+    assert all(combo.evaluate(m) < 0 for m in range(1, 201))
 
 
 def test_first_family_value_below_one_quarter():

@@ -85,15 +85,14 @@ def test_lattice_kappa_matches_both_routes_on_every_subtuple(entries):
         assert kap[J] == alternating_kappa(sub) == brieskorn_pham_kappa(sub), sub
 
 
-def test_lattice_cap_fails_before_allocating(monkeypatch):
+def test_lattice_cap_fails_before_allocating():
     # 17 entries against a cap of 16: each table would hold 2^17 entries,
     # over 1 MB, so the peak of a check made after allocating shows
     limits = Limits(subset_cap=16)
-    monkeypatch.setattr(brieskorn.reeb, "DEFAULT_LIMITS", limits)  # frequencies has no limits
     t = ExponentTuple(tuple(range(2, 19)))
     calls = {
         "reeb_periods": lambda: reeb_periods(t, limits),
-        "frequencies": lambda: frequencies(t),
+        "frequencies": lambda: frequencies(t, limits),
         "stratum": lambda: stratum(t, 6, limits),
         "mean_euler": lambda: mean_euler(t, limits),
     }

@@ -136,3 +136,51 @@ def test_package_dataclasses_are_frozen():
         for line in unfrozen_dataclasses(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def default_limits_uses(source: str) -> list[int]:
+    """Lines that use `DEFAULT_LIMITS` other than as a parameter's default,
+    its module-level definition or an import."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            allowed.update(id(d) for d in node.args.defaults + node.args.kw_defaults)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            allowed.update(id(t) for t in node.targets)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if ((isinstance(node, ast.Name) and node.id == "DEFAULT_LIMITS")
+            or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_LIMITS"))
+        and id(node) not in allowed
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("def f(a, limits=DEFAULT_LIMITS): pass", []),
+        ("def f(a, *, limits: Limits = DEFAULT_LIMITS): pass", []),
+        ("from .limits import DEFAULT_LIMITS, Limits", []),
+        ("DEFAULT_LIMITS = Limits()", []),
+        ("def f(a):\n    return g(a, DEFAULT_LIMITS)", [2]),
+        ("def f(a, limits=DEFAULT_LIMITS):\n    return g(a, DEFAULT_LIMITS)", [2]),
+        ("def f(a, limits=None):\n    limits = limits or DEFAULT_LIMITS", [2]),
+        ("import brieskorn.limits as bl\nx = g(bl.DEFAULT_LIMITS)", [2]),
+        ("def f():\n    DEFAULT_LIMITS = Limits(subset_cap=99)", [2]),
+    ],
+)
+def test_default_limits_rule(source, lines):
+    assert default_limits_uses(source) == lines
+
+
+def test_package_passes_its_limits_on():
+    # a call that reads DEFAULT_LIMITS itself ignores the caps its caller was given
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in default_limits_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -4,15 +4,18 @@ import random
 
 import pytest
 
+import brieskorn.families
 import brieskorn.verify
-from brieskorn.errors import CapacityError
-from brieskorn.limits import DEFAULT_LIMITS
+from brieskorn.errors import BrieskornError, CapacityError
+from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import reeb_periods
 from brieskorn.topology import ExponentTuple, make_tuple
 from brieskorn.verify import (
     _direct_frequencies,
     _inclusion_exclusion_frequencies,
+    _item_2_closed_form_agreement,
     _item_8_frequency_oracle,
+    _item_9_fermat_suite,
 )
 from oracles import naive_frequencies
 
@@ -62,8 +65,8 @@ def test_item_8_fails_when_frequencies_are_off_by_one(monkeypatch):
     for route in ("frequencies", "_inclusion_exclusion_frequencies", "_direct_frequencies"):
         honest = getattr(brieskorn.verify, route)
 
-        def off_by_one(arg, honest=honest):  # a tuple for the lattice, periods for the oracles
-            out = honest(arg)
+        def off_by_one(*args, honest=honest):  # (tuple, limits) for the lattice, periods otherwise
+            out = honest(*args)
             out[0] += 1
             return out
 
@@ -72,3 +75,26 @@ def test_item_8_fails_when_frequencies_are_off_by_one(monkeypatch):
             passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
         assert not passed, route
         assert detail.startswith("frequency mismatch for")
+
+
+def test_item_8_honours_the_subset_cap():
+    # the pool holds 4- to 6-entry tuples, whose lattices a cap of 3 refuses
+    with pytest.raises(CapacityError, match="cap of 3"):
+        _item_8_frequency_oracle(Limits(subset_cap=3), {})
+
+
+def test_item_2_fails_when_the_closed_form_is_off_at_one_parameter(monkeypatch):
+    honest = brieskorn.families.sigma_m_closed_form
+    monkeypatch.setattr(brieskorn.families, "sigma_m_closed_form",
+                        lambda m: honest(m) + (m == 7))
+    passed, detail = _item_2_closed_form_agreement(DEFAULT_LIMITS, {})
+    assert not passed
+    assert "agreement=False" in detail
+
+
+def test_item_9_fails_when_a_fermat_number_is_wrong(monkeypatch):
+    honest = brieskorn.families.fermat_number
+    monkeypatch.setattr(brieskorn.families, "fermat_number",
+                        lambda k, limits: honest(k, limits) + 2 * (k == 5))
+    with pytest.raises(BrieskornError, match="recursion fails at index 5"):
+        _item_9_fermat_suite(DEFAULT_LIMITS, {})
