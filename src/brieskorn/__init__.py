@@ -15,6 +15,7 @@ from .certify import (
     certify_non_brieskorn_pairs,
     distinctness_classes,
     enumerate_sphere_tuples,
+    iter_certificates,
     read_certificates,
     write_certificates,
 )

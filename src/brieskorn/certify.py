@@ -13,13 +13,14 @@ corresponding sums are pairwise non-contactomorphic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, CertificateFormatError, InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
@@ -55,17 +56,35 @@ class NonBrieskornCertificate:
             raise InvalidInputError(
                 f"conclusion must be {CONCLUSION!r}, got {self.conclusion!r}"
             )
-        if self.chi_sum != self.chi_a + self.chi_b - Fraction(1, 2):
+        # chi_sum == chi_a + chi_b - 1/2 over the integers: the stored
+        # denominators are positive, so cross-multiplying keeps the equation.
+        try:
+            an, ad = self.chi_a.numerator, self.chi_a.denominator
+            bn, bd = self.chi_b.numerator, self.chi_b.denominator
+            sn, sd = self.chi_sum.numerator, self.chi_sum.denominator
+            exact = 2 * sn * ad * bd == sd * (2 * (an * bd + bn * ad) - ad * bd)
+        except (AttributeError, TypeError):
+            raise InvalidInputError(
+                "chi_a, chi_b and chi_sum must be exact rationals (Fraction or int), got "
+                f"{self.chi_a!r}, {self.chi_b!r}, {self.chi_sum!r}"
+            ) from None
+        if not exact:
             raise InvalidInputError(
                 f"chi_sum {self.chi_sum} != chi_a + chi_b - 1/2 = "
                 f"{self.chi_a + self.chi_b - Fraction(1, 2)}"
             )
-        if self.chi_sum > 0:
+        if sn > 0:
             raise InvalidInputError(f"chi_sum {self.chi_sum} is positive, so nothing is certified")
-        if self.boundary != (self.chi_sum == 0):
+        if self.boundary != (sn == 0):
             raise InvalidInputError(
                 f"boundary is {self.boundary} but chi_sum is {self.chi_sum}"
             )
+        # The writer emits these two as fixed text, so only a bool and the
+        # int 5 may be stored.
+        if type(self.boundary) is not bool:
+            raise InvalidInputError(f"boundary must be a boolean, got {self.boundary!r}")
+        if type(self.dimension) is not int or self.dimension != 5:
+            raise InvalidInputError(f"dimension must be 5, got {self.dimension!r}")
 
 
 def enumerate_sphere_tuples(
@@ -201,16 +220,94 @@ _REQUIRED_FIELDS = (
     "conclusion",
 )
 
+# Lines are written in chunks of this many, so the text in memory stays small.
+_WRITE_CHUNK_LINES = 4096
 
-def _certificate_from_obj(obj: dict) -> NonBrieskornCertificate:
+
+def _certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Iterator[str]:
+    # The text `json.dumps(certificate_to_obj(c), separators=(",", ":"))` gives,
+    # built from fragments: each (tuple, chi) side is formatted once, chi_sum
+    # once per line, and the tail is one of two fixed texts.
+    sides: dict[tuple, tuple[str, str]] = {}
+    conclusion = json.dumps(CONCLUSION)
+    tails = {
+        flag: f',"dimension":5,"boundary":{json.dumps(flag)},"conclusion":{conclusion}}}\n'
+        for flag in (False, True)
+    }
+
+    def side(t: ExponentTuple, chi: Fraction) -> tuple[str, str]:
+        num, den = chi.numerator, chi.denominator
+        key = (t.entries, num, den)
+        texts = sides.get(key)
+        if texts is None:
+            texts = sides[key] = (
+                '["' + '","'.join(map(str, t.entries)) + '"]',
+                f'{{"num":"{num}","den":"{den}"}}',
+            )
+        return texts
+
+    for c in certificates:
+        tuple_a, chi_a = side(c.tuple_a, c.chi_a)
+        tuple_b, chi_b = side(c.tuple_b, c.chi_b)
+        s = c.chi_sum
+        yield (
+            f'{{"tuple_a":{tuple_a},"tuple_b":{tuple_b},"chi_a":{chi_a},"chi_b":{chi_b},'
+            f'"chi_sum":{{"num":"{s.numerator}","den":"{s.denominator}"}}{tails[c.boundary]}'
+        )
+
+
+def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: str | Path) -> str:
+    """Write certificates as JSONL, byte-deterministic; return the file's sha256 hex digest.
+
+    Each line is the compact JSON of `certificate_to_obj`, keys in that order.
+    """
+    digest = hashlib.sha256()
+    lines = _certificate_lines(certificates)
+    with open(path, "wb") as fh:
+        while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
+            data = chunk.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _parse_tuple(entries, what: str, cache: dict) -> ExponentTuple:
+    # Cached only under all-string keys: a string equals only a string, so a
+    # hit means the same text, while 4.0 == 4 would let a float entry through.
+    try:
+        key = tuple(entries)
+        return cache[key]
+    except (KeyError, TypeError):
+        pass
+    t = ExponentTuple(tuple(parse_int(e, what) for e in entries))
+    if all(type(e) is str for e in key):
+        cache[key] = t
+    return t
+
+
+def _parse_fraction(obj, what: str, cache: dict) -> Fraction:
+    # Cached under its (num, den) strings only, for the reason `_parse_tuple`
+    # gives; chi_a and chi_b repeat with their tuples.
+    key = (obj.get("num"), obj.get("den")) if type(obj) is dict and len(obj) == 2 else None
+    try:
+        return cache[key]
+    except (KeyError, TypeError):
+        pass
+    q = parse_fraction(obj, what)
+    if type(key[0]) is str and type(key[1]) is str:
+        cache[key] = q
+    return q
+
+
+def _certificate_from_obj(obj: dict, tuples: dict, fractions: dict) -> NonBrieskornCertificate:
     missing = [k for k in _REQUIRED_FIELDS if k not in obj]
     if missing:
         raise InvalidInputError(f"missing fields {missing}")
     for side in ("tuple_a", "tuple_b"):
         if not isinstance(obj[side], list):
             raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuple_a = ExponentTuple(tuple(parse_int(e, "tuple_a entry") for e in obj["tuple_a"]))
-    tuple_b = ExponentTuple(tuple(parse_int(e, "tuple_b entry") for e in obj["tuple_b"]))
+    tuple_a = _parse_tuple(obj["tuple_a"], "tuple_a entry", tuples)
+    tuple_b = _parse_tuple(obj["tuple_b"], "tuple_b entry", tuples)
     if obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
     if not isinstance(obj["boundary"], bool):
@@ -220,27 +317,23 @@ def _certificate_from_obj(obj: dict) -> NonBrieskornCertificate:
     return NonBrieskornCertificate(
         tuple_a=tuple_a,
         tuple_b=tuple_b,
-        chi_a=parse_fraction(obj["chi_a"], "chi_a"),
-        chi_b=parse_fraction(obj["chi_b"], "chi_b"),
+        chi_a=_parse_fraction(obj["chi_a"], "chi_a", fractions),
+        chi_b=_parse_fraction(obj["chi_b"], "chi_b", fractions),
+        # nearly every line has its own chi_sum, so caching it would only grow
         chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
         boundary=obj["boundary"],
         conclusion=obj["conclusion"],
     )
 
 
-def write_certificates(
-    certificates: Iterable[NonBrieskornCertificate], path: str | Path
-) -> list[dict]:
-    """Write certificates as JSONL, byte-deterministic; return the objects written."""
-    objs = [certificate_to_obj(c) for c in certificates]
-    text = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
-    Path(path).write_text(text, encoding="utf-8")
-    return objs
+def iter_certificates(path: str | Path) -> Iterator[NonBrieskornCertificate]:
+    """Yield the certificates of a JSONL file in order; errors cite the 1-based line number.
 
-
-def read_certificates(path: str | Path) -> list[NonBrieskornCertificate]:
-    """Load a JSONL certificate file; errors cite the 1-based line number."""
-    out = []
+    Each distinct tuple text and chi_a or chi_b text is parsed and validated
+    once per file; every line is still checked as a whole certificate.
+    """
+    tuples: dict = {}
+    fractions: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -252,7 +345,12 @@ def read_certificates(path: str | Path) -> list[NonBrieskornCertificate]:
             if not isinstance(obj, dict):
                 raise CertificateFormatError(lineno, "expected a JSON object")
             try:
-                out.append(_certificate_from_obj(obj))
+                cert = _certificate_from_obj(obj, tuples, fractions)
             except InvalidInputError as exc:
                 raise CertificateFormatError(lineno, str(exc)) from None
-    return out
+            yield cert
+
+
+def read_certificates(path: str | Path) -> list[NonBrieskornCertificate]:
+    """Load a JSONL certificate file; errors cite the 1-based line number."""
+    return list(iter_certificates(path))

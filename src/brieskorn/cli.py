@@ -26,7 +26,7 @@ from .serialize import fraction_obj, parse_int, tuple_obj
 from .topology import ExponentTuple, build_graph, evaluate_criterion, kappa, chi_s1
 from .verify import run_reproduction_suite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -309,8 +309,6 @@ def _cmd_search(args) -> int:
     certs = certify_non_brieskorn_pairs(spheres, limits)
     boundary = sum(1 for c in certs if c.boundary)
     pairs = len(spheres) * (len(spheres) + 1) // 2
-    # one JSON object per certificate serves both the file and the envelope
-    objs = write_certificates(certs, args.out) if args.out else list(map(certificate_to_obj, certs))
 
     human = [
         f"sphere tuples with entries in [2, {args.max_exponent}]: {len(spheres)}",
@@ -326,8 +324,12 @@ def _cmd_search(args) -> int:
         "certificates": len(certs),
         "boundary": boundary,
         "out": args.out,
-        "certificate_list": objs,
     }
+    # with a file the envelope names it by digest; without one it lists the certificates
+    if args.out:
+        result["sha256"] = write_certificates(certs, args.out)
+    else:
+        result["certificate_list"] = list(map(certificate_to_obj, certs))
     _emit(args, _envelope("search", {"max_exponent": str(args.max_exponent),
                                      "out": args.out}, result, []), human)
     return EXIT_OK
@@ -352,12 +354,10 @@ def _cmd_verify_paper(args) -> int:
                 "name": c.name,
                 "passed": c.passed,
                 "detail": c.detail,
-                "seconds": round(c.seconds, 3),
             }
             for c in suite.checks
         ],
         "all_passed": suite.all_passed,
-        "total_seconds": round(suite.total_seconds, 3),
     }
     _emit(args, _envelope("verify-paper", {}, result, []), human)
     return EXIT_OK if suite.all_passed else EXIT_INTERNAL

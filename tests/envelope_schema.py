@@ -5,7 +5,7 @@ ENVELOPE_SCHEMA = {
     "required": ["schemaVersion", "command", "input", "result", "warnings"],
     "additionalProperties": False,
     "properties": {
-        "schemaVersion": {"type": "integer", "const": 1},
+        "schemaVersion": {"type": "integer", "const": 2},
         "command": {"type": "string"},
         "input": {"type": "object"},
         "result": {"type": "object"},

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from brieskorn.certify import NonBrieskornCertificate, certificate_to_obj
+from brieskorn.errors import CertificateFormatError, InvalidInputError
 from brieskorn.reeb import MeanEulerReport, Stratum
-from brieskorn.topology import chi_s1
+from brieskorn.serialize import parse_fraction, parse_int
+from brieskorn.topology import ExponentTuple, chi_s1
 
 
 def naive_frequencies(periods):
@@ -103,3 +107,62 @@ def pairwise_isolated_exponent(entries):
         all(math.gcd(e, f) == 1 for j, f in enumerate(entries) if j != i)
         for i, e in enumerate(entries)
     )
+
+
+def json_dumps_lines(certificates):
+    # the certificate file's text, one `json.dumps` of each certificate object
+    return "".join(
+        json.dumps(certificate_to_obj(c), separators=(",", ":")) + "\n" for c in certificates
+    )
+
+
+_CERTIFICATE_FIELDS = (
+    "tuple_a", "tuple_b", "chi_a", "chi_b", "chi_sum", "dimension", "boundary", "conclusion",
+)
+
+
+def _per_field_certificate(obj):
+    missing = [k for k in _CERTIFICATE_FIELDS if k not in obj]
+    if missing:
+        raise InvalidInputError(f"missing fields {missing}")
+    for side in ("tuple_a", "tuple_b"):
+        if not isinstance(obj[side], list):
+            raise InvalidInputError(f"{side} must be a list of decimal strings")
+    tuple_a = ExponentTuple(tuple(parse_int(e, "tuple_a entry") for e in obj["tuple_a"]))
+    tuple_b = ExponentTuple(tuple(parse_int(e, "tuple_b entry") for e in obj["tuple_b"]))
+    if obj["dimension"] != 5:
+        raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
+    if not isinstance(obj["boundary"], bool):
+        raise InvalidInputError(f"boundary must be a boolean, got {obj['boundary']!r}")
+    if not isinstance(obj["conclusion"], str):
+        raise InvalidInputError("conclusion must be a string")
+    return NonBrieskornCertificate(
+        tuple_a=tuple_a,
+        tuple_b=tuple_b,
+        chi_a=parse_fraction(obj["chi_a"], "chi_a"),
+        chi_b=parse_fraction(obj["chi_b"], "chi_b"),
+        chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
+        boundary=obj["boundary"],
+        conclusion=obj["conclusion"],
+    )
+
+
+def per_field_read_certificates(path):
+    # the certificate reader without caches: every field of every line
+    # parsed and validated on its own
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CertificateFormatError(lineno, f"invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise CertificateFormatError(lineno, "expected a JSON object")
+            try:
+                out.append(_per_field_certificate(obj))
+            except InvalidInputError as exc:
+                raise CertificateFormatError(lineno, str(exc)) from None
+    return out

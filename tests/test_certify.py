@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brieskorn
 from brieskorn.certify import (
@@ -18,14 +23,21 @@ from brieskorn.certify import (
     certify_non_brieskorn_pairs,
     distinctness_classes,
     enumerate_sphere_tuples,
+    iter_certificates,
     read_certificates,
     write_certificates,
 )
-from brieskorn.errors import CapacityError, CertificateFormatError, PreconditionError
+from brieskorn.errors import (
+    CapacityError,
+    CertificateFormatError,
+    InvalidInputError,
+    PreconditionError,
+)
 from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import Limits
 from brieskorn.reeb import connected_sum_chi, mean_euler
 from brieskorn.topology import make_tuple
+from oracles import json_dumps_lines, per_field_read_certificates
 
 HALF = Fraction(1, 2)
 
@@ -289,3 +301,280 @@ def test_serialized_integers_are_strings(tmp_path):
     assert obj["dimension"] == 5
     assert obj["boundary"] is False
     assert obj["conclusion"] == CONCLUSION
+
+
+def test_iter_certificates_yields_lines_before_a_bad_one(tmp_path):
+    certs = certify_non_brieskorn_pairs([sigma_m_tuple(4), sigma_m_tuple(5)])
+    path = tmp_path / "certs.jsonl"
+    write_certificates(certs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + lines[1] + lines[2].replace('"-', '"', 1))
+    it = iter_certificates(path)
+    assert next(it) == certs[0]
+    assert next(it) == certs[1]
+    with pytest.raises(CertificateFormatError, match="line 3") as info:
+        next(it)
+    assert info.value.line_number == 3
+
+
+# --------------------------------------------- writer and integer check
+
+RATIONALS = st.builds(
+    Fraction,
+    st.integers(-(10**40), 10**40) | st.integers(-3, 3),
+    st.integers(1, 10**40) | st.integers(1, 4),
+)
+NONPOSITIVE = st.just(Fraction(0)) | RATIONALS.map(lambda q: -abs(q))
+TUPLES = st.lists(st.integers(2, 10**30) | st.integers(2, 9), min_size=4, max_size=4).map(
+    make_tuple
+)
+
+
+@st.composite
+def certificate_lists(draw):
+    # few tuples and chi_a values, so tuples repeat, also with other chi values
+    tuples = draw(st.lists(TUPLES, min_size=1, max_size=3))
+    chis = draw(st.lists(RATIONALS, min_size=1, max_size=3))
+    certs = []
+    for _ in range(draw(st.integers(0, 8))):
+        chi_a, chi_sum = draw(st.sampled_from(chis)), draw(NONPOSITIVE)
+        certs.append(
+            NonBrieskornCertificate(
+                tuple_a=draw(st.sampled_from(tuples)),
+                tuple_b=draw(st.sampled_from(tuples)),
+                chi_a=chi_a,
+                chi_b=chi_sum - chi_a + HALF,
+                chi_sum=chi_sum,
+                boundary=chi_sum == 0,
+            )
+        )
+    return certs
+
+
+def _write_and_read(certs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "certs.jsonl"
+        digest = write_certificates(certs, path)
+        data = path.read_bytes()
+        return digest, data, read_certificates(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_lists())
+def test_writer_matches_json_dumps(certs):
+    digest, data, back = _write_and_read(certs)
+    assert data.decode("utf-8") == json_dumps_lines(certs)
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert back == certs
+
+
+def test_writer_keys_sides_by_tuple_and_chi():
+    t = make_tuple([4, 5, 9, 19])
+    certs = [
+        NonBrieskornCertificate(t, t, Fraction(1, 8), Fraction(1, 8), Fraction(-1, 4), False),
+        NonBrieskornCertificate(t, t, Fraction(1, 4), Fraction(1, 4), Fraction(0), True),
+        NonBrieskornCertificate(t, t, Fraction(1, 8), Fraction(-1, 3), Fraction(-17, 24), False),
+    ]
+    digest, data, back = _write_and_read(certs)
+    assert data.decode("utf-8") == json_dumps_lines(certs)
+    assert back == certs
+
+
+OFF_BY_ONE = st.sampled_from([-1, 0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS, OFF_BY_ONE, st.one_of(st.none(), RATIONALS))
+def test_integer_check_accepts_exactly_the_sum(chi_a, chi_b, off, other):
+    exact = chi_a + chi_b - HALF
+    if other is None:
+        chi_sum = Fraction(exact.numerator + off, exact.denominator)
+    else:
+        chi_sum = other
+    t = make_tuple([4, 5, 9, 19])
+    try:
+        NonBrieskornCertificate(t, t, chi_a, chi_b, chi_sum, chi_sum == 0)
+    except InvalidInputError as exc:
+        accepted, message = False, str(exc)
+    else:
+        accepted, message = True, ""
+    assert accepted == (chi_sum == exact and chi_sum <= 0)
+    if chi_sum != exact:
+        assert message.startswith(f"chi_sum {chi_sum} != chi_a + chi_b - 1/2 = {exact}")
+
+
+@pytest.mark.parametrize("side", ["chi_a", "chi_b", "chi_sum"])
+def test_certificate_refuses_a_float_chi(side):
+    t = make_tuple([4, 5, 9, 19])
+    values = {"chi_a": Fraction(1, 8), "chi_b": Fraction(1, 8), "chi_sum": Fraction(-1, 4)}
+    values[side] = float(values[side])
+    with pytest.raises(InvalidInputError, match="exact rationals"):
+        NonBrieskornCertificate(t, t, boundary=False, **values)
+
+
+@pytest.mark.parametrize("fields", [{"boundary": 0}, {"dimension": 7}, {"dimension": 5.0}])
+def test_certificate_refuses_what_the_file_cannot_hold(fields):
+    t = make_tuple([4, 5, 9, 19])
+    values = {"boundary": False, **fields}
+    with pytest.raises(InvalidInputError, match=next(iter(fields))):
+        NonBrieskornCertificate(t, t, Fraction(1, 8), Fraction(1, 8), Fraction(-1, 4), **values)
+
+
+# ------------------------------------------------ reader parity
+
+
+def _base_objs():
+    certs = certify_non_brieskorn_pairs([sigma_m_tuple(4), sigma_m_tuple(5)])
+    return [certificate_to_obj(c) for c in certs]
+
+
+def _with(obj, path, value):
+    # a copy of `obj` with the field at `path` (keys, then maybe a list index) set
+    out = copy.deepcopy(obj)
+    *head, last = path
+    target = out
+    for key in head:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return out
+
+
+_DELETE = object()
+
+
+def _lines(*objs):
+    return "".join(o if isinstance(o, str) else json.dumps(o, separators=(",", ":")) + "\n"
+                   for o in objs)
+
+
+def _reader_cases():
+    a, ab, b = _base_objs()
+    permuted = {k: a[k] for k in reversed(list(a))}
+    cases = {
+        "valid": _lines(a, ab, b),
+        "repeated_valid_lines": _lines(a, a, ab, a, b),
+        "permuted_keys_and_spaces": json.dumps(permuted, indent=1).replace("\n", " ") + "\n"
+        + json.dumps(ab) + "\n",
+        "blank_lines": "\n" + _lines(a) + "   \n\t\n" + _lines(b) + "\n",
+        "invalid_json": _lines(a) + "{not json\n",
+        "not_an_object": _lines(a) + "[1, 2]\n",
+        "missing_field": _lines(a, _with(ab, ["chi_sum"], _DELETE)),
+        "missing_fields_all": _lines(a, {}),
+        "tuple_not_list": _lines(_with(a, ["tuple_b"], "4,5,9,19")),
+        "hex_entry": _lines(a, _with(a, ["tuple_a", 0], "0x4")),
+        "word_entry": _lines(_with(a, ["tuple_b", 2], "nine")),
+        "spaced_entry": _lines(a, _with(a, ["tuple_a", 0], " 4 ")),
+        "underscore_entry": _lines(_with(a, ["tuple_a", 3], "1_9"), a),
+        "number_entries": _lines(_with(_with(a, ["tuple_a"], [4, 5, 9, 19]),
+                                       ["tuple_b"], [4, 5, 9, 19]), a),
+        "string_then_number_entries": _lines(a, _with(a, ["tuple_a"], [4, 5, 9, 19])),
+        "float_entry_after_string_line": _lines(a, _with(a, ["tuple_a"], [4.0, "5", "9", "19"])),
+        "float_entry_after_number_line": _lines(_with(a, ["tuple_a"], [4, 5, 9, 19]),
+                                                _with(a, ["tuple_a"], [4.0, 5, 9, 19])),
+        "boolean_entry": _lines(a, _with(a, ["tuple_a", 0], True)),
+        "list_entry": _lines(a, _with(a, ["tuple_a", 1], ["5"])),
+        "small_entry": _lines(_with(a, ["tuple_a", 0], "1")),
+        "short_tuple": _lines(a, _with(a, ["tuple_b"], ["4", "5", "9"])),
+        "one_entry_tuple": _lines(_with(a, ["tuple_a"], ["4"])),
+        "number_fraction": _lines(_with(a, ["chi_a"], {"num": 407, "den": 2642}), a),
+        "float_num_after_number_fraction": _lines(
+            _with(a, ["chi_a"], {"num": 407, "den": 2642}),
+            _with(a, ["chi_a"], {"num": 407.0, "den": 2642}),
+        ),
+        "boolean_den": _lines(a, _with(a, ["chi_a", "den"], True)),
+        "decimal_num": _lines(_with(a, ["chi_b", "num"], "407.0")),
+        "word_den": _lines(a, _with(a, ["chi_b", "den"], "abc")),
+        "zero_den": _lines(a, _with(a, ["chi_sum", "den"], "0")),
+        "negative_den": _lines(_with(_with(a, ["chi_sum", "den"], "-2642"),
+                                     ["chi_sum", "num"], "507")),
+        "non_reduced": _lines(a, _with(_with(a, ["chi_a"], {"num": "814", "den": "5284"}),
+                                       ["chi_b"], {"num": "1221", "den": "7926"})),
+        "non_reduced_sum": _lines(_with(a, ["chi_sum"], {"num": "-1014", "den": "5284"})),
+        "fraction_extra_key": _lines(a, _with(a, ["chi_a", "x"], "1")),
+        "fraction_wrong_key": _lines(a, _with(a, ["chi_a"], {"num": "407", "d": "2642"})),
+        "fraction_list_value": _lines(a, _with(a, ["chi_a", "num"], ["407"])),
+        "fraction_not_object": _lines(_with(a, ["chi_b"], "407/2642")),
+        "tampered_sum": _lines(a, ab, _with(b, ["chi_sum", "num"], "-1")),
+        "positive_sum": _lines(_with(_with(_with(a, ["chi_a"], {"num": "1", "den": "1"}),
+                                           ["chi_b"], {"num": "1", "den": "1"}),
+                                     ["chi_sum"], {"num": "3", "den": "2"})),
+        "wrong_boundary": _lines(a, _with(a, ["boundary"], True)),
+        "non_boolean_boundary": _lines(_with(a, ["boundary"], 0)),
+        "wrong_dimension": _lines(a, _with(a, ["dimension"], 7)),
+        "string_dimension": _lines(_with(a, ["dimension"], "5")),
+        "float_dimension": _lines(_with(a, ["dimension"], 5.0), a),
+        "wrong_conclusion": _lines(a, _with(a, ["conclusion"], "a Brieskorn sphere")),
+        "non_string_conclusion": _lines(_with(a, ["conclusion"], 5)),
+        "two_faults": _lines(_with(_with(a, ["dimension"], 4), ["tuple_b", 0], "x")),
+    }
+    return cases
+
+
+READER_CASES = [
+    "blank_lines",
+    "boolean_den",
+    "boolean_entry",
+    "decimal_num",
+    "float_dimension",
+    "float_entry_after_number_line",
+    "float_entry_after_string_line",
+    "float_num_after_number_fraction",
+    "fraction_extra_key",
+    "fraction_list_value",
+    "fraction_not_object",
+    "fraction_wrong_key",
+    "hex_entry",
+    "invalid_json",
+    "list_entry",
+    "missing_field",
+    "missing_fields_all",
+    "negative_den",
+    "non_boolean_boundary",
+    "non_reduced",
+    "non_reduced_sum",
+    "non_string_conclusion",
+    "not_an_object",
+    "number_entries",
+    "number_fraction",
+    "one_entry_tuple",
+    "permuted_keys_and_spaces",
+    "positive_sum",
+    "repeated_valid_lines",
+    "short_tuple",
+    "small_entry",
+    "spaced_entry",
+    "string_dimension",
+    "string_then_number_entries",
+    "tampered_sum",
+    "tuple_not_list",
+    "two_faults",
+    "underscore_entry",
+    "valid",
+    "word_den",
+    "word_entry",
+    "wrong_boundary",
+    "wrong_conclusion",
+    "wrong_dimension",
+    "zero_den",
+]
+
+
+def _outcome(reader, path):
+    try:
+        return "accepted", reader(path)
+    except CertificateFormatError as exc:
+        return "rejected", (str(exc), exc.line_number)
+
+
+def test_reader_cases_are_all_listed():
+    assert sorted(_reader_cases()) == READER_CASES
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_matches_the_per_field_reader(tmp_path, name):
+    path = tmp_path / "certs.jsonl"
+    path.write_text(_reader_cases()[name], encoding="utf-8")
+    assert _outcome(read_certificates, path) == _outcome(per_field_read_certificates, path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,8 +9,13 @@ import pytest
 
 import brieskorn.certify
 import brieskorn.cli
-from brieskorn.certify import read_certificates
+from brieskorn.certify import (
+    certify_non_brieskorn_pairs,
+    enumerate_sphere_tuples,
+    read_certificates,
+)
 from brieskorn.cli import main
+from brieskorn.verify import CheckResult, SuiteResult
 from envelope_schema import ENVELOPE_SCHEMA, FRACTION_SCHEMA
 
 
@@ -218,11 +224,34 @@ def test_search_builds_each_certificate_object_once(tmp_path, capsys, monkeypatc
     argv = ["search", "--max-exponent", "8"] + (["--out", str(out_path)] if to_file else [])
     code, env, _ = run_json(capsys, *argv)
     assert code == 0
-    listed = env["result"]["certificate_list"]
-    assert len(calls) == len(listed) == env["result"]["certificates"] > 0
     if to_file:
-        lines = out_path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == listed
+        # the file is written from fragments and the envelope names it by digest
+        assert calls == []
+        assert "certificate_list" not in env["result"]
+        data = out_path.read_bytes()
+        assert env["result"]["sha256"] == hashlib.sha256(data).hexdigest()
+        expected = certify_non_brieskorn_pairs(enumerate_sphere_tuples(8))
+        assert [json.loads(line) for line in data.splitlines()] == [
+            honest(c) for c in expected
+        ]
+        assert env["result"]["certificates"] == len(expected) > 0
+    else:
+        listed = env["result"]["certificate_list"]
+        assert len(calls) == len(listed) == env["result"]["certificates"] > 0
+
+
+def test_search_envelope_with_a_file_stays_small(tmp_path, capsys):
+    outs = {}
+    for a in ("8", "12"):
+        code, out, _ = run(
+            capsys, "search", "--max-exponent", a, "--out", str(tmp_path / f"{a}.jsonl"), "--json"
+        )
+        assert code == 0
+        outs[a] = out
+    assert len(outs["12"].encode()) < 1024
+    keys = {a: list(json.loads(out)["result"]) for a, out in outs.items()}
+    assert keys["8"] == keys["12"]
+    assert keys["12"][-2:] == ["out", "sha256"]
 
 
 def test_search_no_spheres_no_certificates(capsys):
@@ -246,3 +275,31 @@ def test_search_unwritable_path_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert err
+
+
+# ---------------------------------------------------------- verify-paper
+
+
+def test_verify_paper_json_has_no_timings(capsys, monkeypatch):
+    def suite(seconds):
+        checks = (
+            CheckResult(1, "reference values", True, "407/2642", seconds),
+            CheckResult(2, "family", True, "agreement", 2 * seconds),
+        )
+        return lambda limits: SuiteResult(checks, 3 * seconds)
+
+    outs = []
+    for seconds in (0.125, 7.5):
+        monkeypatch.setattr(brieskorn.cli, "run_reproduction_suite", suite(seconds))
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    env = json.loads(outs[0])
+    jsonschema.validate(env, ENVELOPE_SCHEMA)
+    assert set(env["result"]) == {"items", "all_passed"}
+    assert set(env["result"]["items"][0]) == {"item", "name", "passed", "detail"}
+    # the human text keeps its timings
+    monkeypatch.setattr(brieskorn.cli, "run_reproduction_suite", suite(7.5))
+    _, text, _ = run(capsys, "verify-paper")
+    assert "(7.50s)" in text and "in 22.50s" in text
