@@ -281,6 +281,36 @@ def test_inconsistent_certificate_rejected_under_optimize(tmp_path):
     assert proc.stdout.strip() == "1"
 
 
+# one tampered value per field of the reference line, each outside the file contract
+TAMPERED_FIELDS = {
+    "tuple_a": ["4", "5", "9"],
+    "tuple_b": ["4", "5", "9", "1"],
+    "chi_a": {"num": "408", "den": "2642"},
+    "chi_b": {"num": "407", "den": "2641"},
+    "chi_sum": {"num": "-506", "den": "2642"},
+    "dimension": 7,
+    "boundary": True,
+    "conclusion": "connected sum is a Brieskorn contact structure",
+}
+
+
+def test_tampered_fields_cover_the_certificate():
+    assert tuple(TAMPERED_FIELDS) == tuple(certificate_to_obj(
+        certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0]))
+
+
+@pytest.mark.parametrize("field", TAMPERED_FIELDS)
+def test_each_tampered_field_is_rejected_with_its_line_number(tmp_path, field):
+    # the reference self-pair of (4, 5, 9, 19) on three lines, the middle one tampered
+    reference = certificate_to_obj(certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0])
+    tampered = {**reference, field: TAMPERED_FIELDS[field]}
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (reference, tampered, reference)))
+    with pytest.raises(CertificateFormatError, match="line 2") as info:
+        read_certificates(path)
+    assert info.value.line_number == 2
+
+
 def test_writes_are_deterministic(tmp_path):
     certs = certify_non_brieskorn_pairs(enumerate_sphere_tuples(9))
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

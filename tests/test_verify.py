@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brieskorn
 import brieskorn.families
 import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
@@ -18,6 +24,7 @@ from brieskorn.verify import (
     _item_9_fermat_suite,
 )
 from oracles import naive_frequencies
+from verify_faults import FAULTS, case_id, run_case
 
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
@@ -98,3 +105,29 @@ def test_item_9_fails_when_a_fermat_number_is_wrong(monkeypatch):
                         lambda k, limits: honest(k, limits) + 2 * (k == 5))
     with pytest.raises(BrieskornError, match="recursion fails at index 5"):
         _item_9_fermat_suite(DEFAULT_LIMITS, {})
+
+
+# ------------------------------------------------------ planted faults
+
+
+@pytest.mark.parametrize("case", FAULTS, ids=[case_id(case) for case in FAULTS])
+def test_a_planted_fault_fails_its_item(case):
+    assert run_case(case, planted=False) == (True, 0)
+    assert run_case(case) == (False, 1)
+
+
+def test_every_item_has_a_planted_fault():
+    assert {case[0] for case in FAULTS} == {entry[0] for entry in brieskorn.verify._ITEMS}
+
+
+def test_planted_faults_fail_under_optimize():
+    # `python -O` strips asserts; every item must still report its fault
+    tests = Path(__file__).resolve().parent
+    src = Path(brieskorn.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", str(tests / "verify_faults.py")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+    )
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert outcomes == [[case_id(case), False, 1] for case in FAULTS]
