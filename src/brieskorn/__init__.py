@@ -58,9 +58,7 @@ from .topology import (
     ExponentTuple,
     SphereKind,
     SphereVerdict,
-    SubtuplePositivityReport,
     build_graph,
-    check_subtuple_positivity,
     chi_s1,
     evaluate_criterion,
     invariant_subtuples,

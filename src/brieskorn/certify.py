@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
@@ -260,14 +261,28 @@ def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: st
     """Write certificates as JSONL, byte-deterministic; return the file's sha256 hex digest.
 
     Each line is the compact JSON of `certificate_to_obj`, keys in that order.
+    The lines go to a temporary file beside `path`, which replaces `path` only
+    once every line is written, so a failure leaves the old file as it was. A
+    device or pipe at `path` is written in place, since replacing it would
+    remove it.
     """
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.{os.urandom(8).hex()}.tmp"
     digest = hashlib.sha256()
     lines = _certificate_lines(certificates)
-    with open(path, "wb") as fh:
-        while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
-            data = chunk.encode("utf-8")
-            fh.write(data)
-            digest.update(data)
+    try:
+        with open(tmp, "wb" if in_place else "xb") as fh:
+            while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
+                data = chunk.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException:
+        if not in_place and os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return digest.hexdigest()
 
 

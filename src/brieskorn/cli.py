@@ -21,9 +21,9 @@ from .certify import (
 from .errors import BrieskornError, CapacityError, InvalidInputError
 from .families import closed_form_checks, fermat_asymptotics_report, sigma_family_rows
 from .limits import Limits, limits_from_env
-from .reeb import connected_sum_chi, mean_euler
+from .reeb import _mean_euler, connected_sum_chi, mean_euler
 from .serialize import fraction_obj, parse_int, tuple_obj
-from .topology import ExponentTuple, build_graph, evaluate_criterion, kappa, chi_s1
+from .topology import ExponentTuple, _chi_s1, build_graph, evaluate_criterion, subset_lattice
 from .verify import run_reproduction_suite
 
 SCHEMA_VERSION = 2
@@ -128,9 +128,10 @@ def _stratum_json(s) -> dict:
 def _cmd_invariants(args) -> int:
     limits = _limits_from_args(args)
     t = _parse_tuple_tokens(args.entries)
-    report = mean_euler(t, limits)
-    k = kappa(t, limits)
-    chi = chi_s1(t, limits)
+    lattice = subset_lattice(t, limits)  # chi_m, kappa and chi_S1 all read this one table
+    report = _mean_euler(t, lattice)
+    k = lattice[2][-1]
+    chi = _chi_s1(t.length, k)
 
     chi_m_str = str(report.value) if report.defined else "undefined (mu_RS = 0)"
     human = [

@@ -86,12 +86,13 @@ class MeanEulerReport:
             raise InvalidInputError(f"value {self.value} contradicts defined={self.defined}")
 
 
-def _strata_rows(a: ExponentTuple, limits: Limits) -> list[tuple[int, int, int]]:
-    """The strata as (period, frequency, kappa of the entries dividing the
-    period), by period: the closed subsets of two or more positions, whose
-    frequencies are nonzero, and the top period d with frequency 1.
+def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int]]:
+    """The strata of a `subset_lattice` table as (period, frequency, kappa of
+    the entries dividing the period), by period: the closed subsets of two or
+    more positions, whose frequencies are nonzero, and the top period d with
+    frequency 1.
     """
-    lcm, freq, kap = subset_lattice(a, limits)
+    lcm, freq, kap = lattice
     rows = sorted((lcm[J], freq[J], kap[J]) for J in range(len(lcm) - 1) if freq[J] and J & (J - 1))
     return rows + [(lcm[-1], 1, kap[-1])]
 
@@ -101,7 +102,7 @@ def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]
 
     The largest entry is always d, the lcm of the whole tuple.
     """
-    return [T for T, _, _ in _strata_rows(a, limits)]
+    return [T for T, _, _ in _strata_rows(subset_lattice(a, limits))]
 
 
 def _build_strata(
@@ -132,12 +133,12 @@ def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     """Frequency of each period of `reeb_periods(a)`: the multiples of it
     below the top period d that no larger period divides. The top period
     itself has frequency 1 by convention."""
-    return [f for _, f, _ in _strata_rows(a, limits)]
+    return [f for _, f, _ in _strata_rows(subset_lattice(a, limits))]
 
 
 def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratum:
     """Fully populated stratum for one period of the flow on `a`."""
-    rows = {row[0]: row for row in _strata_rows(a, limits)}
+    rows = {row[0]: row for row in _strata_rows(subset_lattice(a, limits))}
     if T not in rows:
         raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {list(rows)}")
     return _build_strata(a, [rows[T]])[0]
@@ -158,7 +159,13 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
     the agreement is enforced.
     """
     # the lattice first: it refuses what is not an ExponentTuple
-    strata = _build_strata(a, _strata_rows(a, limits))
+    return _mean_euler(a, subset_lattice(a, limits))
+
+
+def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerReport:
+    """`mean_euler(a)` from the `subset_lattice` table of `a`, for callers
+    that read other entries of that table too."""
+    strata = _build_strata(a, _strata_rows(lattice))
     total = total_rs_index(a)
 
     numerator_global = sum([s.frequency * s.chi_s1 for s in strata])

@@ -14,14 +14,20 @@ from .topology import ExponentTuple
 
 
 def parse_int(s, what: str = "integer") -> int:
+    """An int as itself, or a string only in the form `str` writes: ASCII
+    digits, an optional leading minus, no sign on zero, no leading zero, no
+    whitespace and no underscores."""
     if isinstance(s, int) and not isinstance(s, bool):
         return s
     if not isinstance(s, str):
         raise InvalidInputError(f"{what} must be a decimal string, got {s!r}")
     try:
-        return int(s, 10)
+        value = int(s, 10)
     except ValueError:
-        raise InvalidInputError(f"{what} is not a decimal integer: {s!r}") from None
+        value = None
+    if value is None or str(value) != s:
+        raise InvalidInputError(f"{what} is not a decimal integer: {s!r}")
+    return value
 
 
 def tuple_obj(t: ExponentTuple) -> list[str]:

@@ -17,8 +17,10 @@ an integral homology 3-sphere and no homeomorphism claim is made.
 The subset lattice holds, for every subset J of entry positions, the lcm
 of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),
 all from one lcm and one product per subset and two fast Moebius transforms
-("Fourier meets Moebius", Bjorklund et al. 2007). `kappa`, `chi_s1`, the
-subtuple positivity check and the Reeb strata of `reeb` all read it.
+("Fourier meets Moebius", Bjorklund et al. 2007). `kappa`, `chi_s1` and the
+Reeb strata of `reeb` all read it; a caller that needs several of these for
+one tuple builds its table once and reads them all from it, so nothing here
+is cached.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -34,7 +35,6 @@ from .errors import (
     BrieskornError,
     CapacityError,
     InvalidInputError,
-    PreconditionError,
     UnsupportedLengthError,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -274,22 +274,12 @@ def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[in
     return lcm, freq, kap
 
 
-# Bounded so a long-lived process cannot grow it without limit. `mean_euler`
-# reads kappa from its own lattice and does not call this, so the
-# reproduction suite asks for ~1k distinct tuples, far below 2**16. The
-# limits are part of the key, so a cached value never bypasses a smaller cap.
-@lru_cache(maxsize=2**16)
-def _kappa_sorted(entries: tuple[int, ...], limits: Limits) -> int:
-    return subset_lattice(ExponentTuple(entries), limits)[2][-1]
-
-
 def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
     """Rank of the middle-degree homology of the manifold of `a`.
 
     The top entry of the subset lattice, so the length is capped.
     """
-    _require_exponent_tuple(a)
-    return _kappa_sorted(tuple(sorted(a.entries)), limits)
+    return subset_lattice(a, limits)[2][-1]
 
 
 def _chi_s1(m: int, k: int) -> int:
@@ -332,57 +322,3 @@ def noncoprime_pair(a: ExponentTuple) -> tuple[int, int] | None:
         if math.gcd(a.entries[i], a.entries[j]) >= 2:
             return (i, j)
     return None
-
-
-@dataclass(frozen=True)
-class SubtupleCheck:
-    indices: tuple[int, ...]
-    subtuple: ExponentTuple
-    kappa: int
-    chi_s1: int
-
-
-@dataclass(frozen=True)
-class SubtuplePositivityReport:
-    """Outcome of checking every invariant submanifold of a sphere 4-tuple.
-
-    For a sphere 4-tuple, every length-3 subtuple must have vanishing
-    homology rank and every subtuple of length >= 2 must have positive
-    equivariant Euler characteristic. Any violation would falsify the
-    positivity statement and is listed explicitly.
-    """
-
-    exponents: ExponentTuple
-    checks: tuple[SubtupleCheck, ...]
-    falsifications: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.falsifications
-
-
-def check_subtuple_positivity(
-    a: ExponentTuple, limits: Limits = DEFAULT_LIMITS
-) -> SubtuplePositivityReport:
-    """Verify kappa = 0 on all triples and chi^{S1} > 0 on all subtuples."""
-    _require_exponent_tuple(a)
-    if a.length != 4:
-        raise PreconditionError(
-            f"subtuple positivity check applies to 4-tuples, got length {a.length}"
-        )
-    verdict = evaluate_criterion(a)
-    if not verdict.is_sphere:
-        raise PreconditionError(f"{a} is not a sphere tuple (verdict {verdict.kind.value})")
-
-    kap = subset_lattice(a, limits)[2]
-    checks = []
-    falsifications = []
-    for indices, b in invariant_subtuples(a, min_length=2):
-        k = kap[sum(1 << i for i in indices)]
-        chi = _chi_s1(len(indices), k)
-        checks.append(SubtupleCheck(indices, b, k, chi))
-        if len(indices) == 3 and k != 0:
-            falsifications.append(f"kappa{b} = {k}, expected 0")
-        if chi <= 0:
-            falsifications.append(f"chi_s1{b} = {chi}, expected > 0")
-    return SubtuplePositivityReport(a, tuple(checks), tuple(falsifications))

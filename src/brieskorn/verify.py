@@ -32,13 +32,14 @@ from .families import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import (
+    _mean_euler,
     frequencies,
     has_isolated_exponent,
     mean_euler,
     mean_euler_coprime,
     total_rs_index,
 )
-from .topology import ExponentTuple, SphereKind, evaluate_criterion, kappa
+from .topology import ExponentTuple, SphereKind, _chi_s1, evaluate_criterion, subset_lattice
 
 DEFAULT_SEED = 20250707
 
@@ -172,9 +173,11 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
         length = rng.randint(2, 6)
         tuples.append(ExponentTuple(tuple(rng.randint(2, 30) for _ in range(length))))
     ctx["random_tuples"] = tuples
+    recorded = ctx.setdefault("frequencies", {})
     checked = 0
     for t in tuples:
         report = mean_euler(t, limits)  # raises if the two sign routes differ
+        recorded[tuple(sorted(t.entries))] = [s.frequency for s in report.strata]
         for s in report.strata:
             if (s.mu_rs - (t.n + 1 - s.m_t)) % 2 != 0:
                 return False, f"parity violated for {t} at period {s.period}"
@@ -185,11 +188,22 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
 def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
     spheres = enumerate_sphere_tuples(20, 4, limits)
     ctx["sphere_tuples_20"] = spheres
+    recorded = ctx.setdefault("frequencies", {})
+    # each subtuple of two or more positions, with its bit mask in the lattice
+    subtuples = [(idx, sum(1 << i for i in idx))
+                 for k in (2, 3, 4) for idx in combinations(range(4), k)]
     for t in spheres:
-        for idx in combinations(range(4), 3):
-            if kappa(t.subtuple(idx), limits) != 0:
+        lattice = subset_lattice(t, limits)  # one table per sphere
+        kap = lattice[2]
+        for idx, J in subtuples:
+            if len(idx) == 3 and kap[J] != 0:
                 return False, f"nonzero homology rank for triple {idx} of {t}"
-        value = mean_euler(t, limits).value
+            chi = _chi_s1(len(idx), kap[J])
+            if chi <= 0:
+                return False, f"chi_S1 = {chi} on subtuple {idx} of {t}, expected > 0"
+        report = _mean_euler(t, lattice)
+        recorded[tuple(sorted(t.entries))] = [s.frequency for s in report.strata]
+        value = report.value
         if value is None or value <= 0:
             return False, f"mean Euler characteristic of {t} is {value}, expected > 0"
     return True, f"{len(spheres)} sphere tuples with entries <= 20, all positive"
@@ -200,6 +214,8 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
     pool += [sigma_m_tuple(m) for m in range(4, 201)]
     pool += ctx.get("random_tuples", [])
     pool += ctx.get("sphere_tuples_20", [])
+    # the lattice frequencies of the tuples items 6 and 7 have built, by sorted entries
+    recorded = ctx.get("frequencies", {})
     seen: set[tuple[int, ...]] = set()
     checked = 0
     for t in pool:
@@ -207,11 +223,14 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
         if key in seen or t.d > 10**6:
             continue
         seen.add(key)
+        lattice_frequencies = recorded.get(key)
+        if lattice_frequencies is None:
+            lattice_frequencies = frequencies(t, limits)
         # the oracles get the periods from a subset walk, independent of the lattice
         subsets = (s for k in range(2, t.length + 1) for s in combinations(t.entries, k))
         periods = sorted({math.lcm(*s) for s in subsets})
         if not (
-            frequencies(t, limits)
+            lattice_frequencies
             == _inclusion_exclusion_frequencies(periods)
             == _direct_frequencies(periods)
         ):

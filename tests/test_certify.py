@@ -4,9 +4,11 @@ import copy
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -311,12 +313,70 @@ def test_each_tampered_field_is_rejected_with_its_line_number(tmp_path, field):
     assert info.value.line_number == 2
 
 
+# each non-canonical integer text, in a field where its value would be valid
+NON_CANONICAL_INTEGERS = {
+    "spaced": (["tuple_a", 0], " 4 "),
+    "plus": (["tuple_a", 0], "+4"),
+    "underscore": (["tuple_a", 3], "1_9"),
+    "leading_zero": (["tuple_a", 0], "04"),
+    "arabic_indic_digit": (["tuple_a", 0], "\u0664"),
+    "minus_zero": (["chi_sum", "num"], "-0"),  # on a boundary line, where chi_sum is 0
+}
+
+
+@pytest.mark.parametrize("form", NON_CANONICAL_INTEGERS)
+def test_a_non_canonical_integer_is_rejected_with_its_line_number(tmp_path, form):
+    t = make_tuple([2, 2, 2, 3])
+    quarter = Fraction(1, 4)
+    boundary = certificate_to_obj(NonBrieskornCertificate(t, t, quarter, quarter, Fraction(0),
+                                                          boundary=True))
+    reference = certificate_to_obj(certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0])
+    field, text = NON_CANONICAL_INTEGERS[form]
+    base = boundary if form == "minus_zero" else reference
+    path = tmp_path / "certs.jsonl"
+    path.write_text(_lines(base, _with(base, field, text)), encoding="utf-8")
+    with pytest.raises(CertificateFormatError, match="not a decimal integer") as info:
+        read_certificates(path)
+    assert info.value.line_number == 2
+
+
 def test_writes_are_deterministic(tmp_path):
     certs = certify_non_brieskorn_pairs(enumerate_sphere_tuples(9))
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_certificates(certs, p1)
     write_certificates(certs, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path):
+    certs = certify_non_brieskorn_pairs([sigma_m_tuple(4)])
+    path = tmp_path / "certs.jsonl"
+    path.write_text("old content")
+    with pytest.raises(AttributeError):
+        write_certificates(certs + ["x"], path)
+    assert path.read_text() == "old content"
+    assert os.listdir(tmp_path) == ["certs.jsonl"]  # no temporary file is left
+
+
+def test_write_goes_through_a_symlink_and_into_a_pipe(tmp_path):
+    certs = certify_non_brieskorn_pairs([sigma_m_tuple(4), sigma_m_tuple(5)])
+    real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    real.write_text("old content")
+    link.symlink_to(real)
+    digest = write_certificates(certs, link)
+    assert link.is_symlink()
+    assert hashlib.sha256(real.read_bytes()).hexdigest() == digest
+
+    fifo = tmp_path / "certs.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert write_certificates(certs, fifo) == digest
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [real.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_serialized_integers_are_strings(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 import brieskorn.certify
 import brieskorn.cli
+import brieskorn.topology
 from brieskorn.certify import (
     certify_non_brieskorn_pairs,
     enumerate_sphere_tuples,
@@ -17,6 +18,7 @@ from brieskorn.certify import (
 from brieskorn.cli import main
 from brieskorn.verify import CheckResult, SuiteResult
 from envelope_schema import ENVELOPE_SCHEMA, FRACTION_SCHEMA
+from verify_faults import replace_everywhere
 
 
 def run(capsys, *argv):
@@ -55,6 +57,13 @@ def test_criterion_comma_form(capsys):
     assert "SPHERE_BY_II" in out
 
 
+@pytest.mark.parametrize("text", [" 4 ", "+4", "1_9", "04", "-0", "\u0664"])
+def test_non_canonical_tuple_entry_exits_2(capsys, text):
+    code, _, err = run(capsys, "invariants", text, "5", "9", "19")
+    assert code == 2
+    assert f"not a decimal integer: {text!r}" in err
+
+
 def test_criterion_invalid_entry_exits_2(capsys):
     code, out, err = run(capsys, "criterion", "2", "1", "3")
     assert code == 2
@@ -80,6 +89,17 @@ def test_invariants_reference_tuple(capsys):
     assert result["total_mu_rs"] == "-2642"
     assert result["d"] == "3420"
     jsonschema.validate(result["chi_m"], FRACTION_SCHEMA)
+
+
+def test_invariants_builds_one_lattice(capsys, monkeypatch):
+    # kappa, chi_S1 and chi_m are read from the same table
+    built = []
+    honest = brieskorn.topology.subset_lattice
+    replace_everywhere(monkeypatch, honest,
+                       lambda a, limits: built.append(a.entries) or honest(a, limits))
+    code, _, _ = run(capsys, "invariants", "4", "5", "9", "19")
+    assert code == 0
+    assert built == [(4, 5, 9, 19)]
 
 
 def test_invariants_undefined_prints_and_exits_zero(capsys):

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError, UnsupportedLengthError
-from brieskorn.limits import Limits
+from brieskorn.errors import CapacityError, InvalidInputError, UnsupportedLengthError
+from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.topology import (
     ExponentTuple,
     SphereKind,
-    SubtupleCheck,
     build_graph,
-    check_subtuple_positivity,
     chi_s1,
     evaluate_criterion,
     invariant_subtuples,
@@ -22,7 +20,7 @@ from brieskorn.topology import (
     make_tuple,
     noncoprime_pair,
     pairwise_coprime,
-    _kappa_sorted,
+    subset_lattice,
 )
 from oracles import alternating_kappa, brieskorn_pham_kappa
 
@@ -212,12 +210,8 @@ def test_kappa_triple_closed_form():
         assert kappa(make_tuple(entries)) == expected
 
 
-def test_kappa_cache_is_bounded():
-    assert _kappa_sorted.cache_info().maxsize is not None
-
-
 def test_kappa_respects_length_cap():
-    # also when the default cap has cached the value
+    # also right after a call under the default cap
     t = make_tuple([2, 3, 5, 7])
     assert kappa(t) == kappa(t) == 0
     with pytest.raises(CapacityError, match="cap of 3"):
@@ -306,34 +300,24 @@ def test_coprime_subtuples_are_rational_homology_spheres():
 
 
 def test_subtuple_positivity_reference_tuple():
-    report = check_subtuple_positivity(make_tuple([4, 5, 9, 19]))
-    assert report.passed
-    triples = [c for c in report.checks if len(c.indices) == 3]
+    # verify-paper item 7 reads these from the one table of each sphere
+    t = make_tuple([4, 5, 9, 19])
+    kap = subset_lattice(t, DEFAULT_LIMITS)[2]
+    triples = [idx for idx, _ in invariant_subtuples(t, 3) if len(idx) == 3]
     assert len(triples) == 4
-    assert all(c.kappa == 0 for c in triples)
-    assert all(c.chi_s1 > 0 for c in report.checks)
+    assert all(kap[sum(1 << i for i in idx)] == 0 for idx in triples)
+    assert all(chi_s1(b) > 0 for _, b in invariant_subtuples(t, 2))
 
 
 def test_subtuple_positivity_all_small_spheres():
-    # every check against the oracle and n + (-1)^(n-1) kappa, n = length - 1
+    # every subtuple's table kappa against the oracle, and n + (-1)^(n-1) kappa > 0
     for entries in combinations_with_replacement(range(2, 11), 4):
         t = ExponentTuple(entries)
         if not evaluate_criterion(t).is_sphere:
             continue
-        expected = []
+        kap = subset_lattice(t, DEFAULT_LIMITS)[2]
         for indices, b in invariant_subtuples(t, 2):
-            k, n = alternating_kappa(b.entries), len(indices) - 1
-            expected.append(SubtupleCheck(indices, b, k, n + (-1) ** (n - 1) * k))
-        report = check_subtuple_positivity(t)
-        assert report.passed, entries
-        assert report.checks == tuple(expected), entries
-
-
-def test_subtuple_positivity_rejects_wrong_length():
-    with pytest.raises(PreconditionError):
-        check_subtuple_positivity(make_tuple([2, 2, 2, 3, 5]))
-
-
-def test_subtuple_positivity_rejects_non_sphere():
-    with pytest.raises(PreconditionError):
-        check_subtuple_positivity(make_tuple([2, 2, 2, 2]))
+            k, n = kap[sum(1 << i for i in indices)], len(indices) - 1
+            assert k == alternating_kappa(b.entries), (entries, indices)
+            assert k == 0 or n != 2, (entries, indices)
+            assert n + (-1) ** (n - 1) * k > 0, (entries, indices)

@@ -11,20 +11,24 @@ import pytest
 
 import brieskorn
 import brieskorn.families
+import brieskorn.topology
 import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import reeb_periods
 from brieskorn.topology import ExponentTuple, make_tuple
 from brieskorn.verify import (
+    DEFAULT_SEED,
     _direct_frequencies,
     _inclusion_exclusion_frequencies,
     _item_2_closed_form_agreement,
+    _item_6_parity_and_signs,
+    _item_7_sphere_enumeration,
     _item_8_frequency_oracle,
     _item_9_fermat_suite,
 )
 from oracles import naive_frequencies
-from verify_faults import FAULTS, case_id, run_case
+from verify_faults import FAULTS, replace_everywhere, run_case
 
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
@@ -110,14 +114,14 @@ def test_item_9_fails_when_a_fermat_number_is_wrong(monkeypatch):
 # ------------------------------------------------------ planted faults
 
 
-@pytest.mark.parametrize("case", FAULTS, ids=[case_id(case) for case in FAULTS])
+@pytest.mark.parametrize("case", FAULTS, ids=[case[0] for case in FAULTS])
 def test_a_planted_fault_fails_its_item(case):
     assert run_case(case, planted=False) == (True, 0)
     assert run_case(case) == (False, 1)
 
 
 def test_every_item_has_a_planted_fault():
-    assert {case[0] for case in FAULTS} == {entry[0] for entry in brieskorn.verify._ITEMS}
+    assert {case[1] for case in FAULTS} == {entry[0] for entry in brieskorn.verify._ITEMS}
 
 
 def test_planted_faults_fail_under_optimize():
@@ -130,4 +134,62 @@ def test_planted_faults_fail_under_optimize():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
     )
     outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert outcomes == [[case_id(case), False, 1] for case in FAULTS]
+    assert outcomes == [[case[0], False, 1] for case in FAULTS]
+
+
+# ------------------------------------------------- one lattice per tuple
+
+
+def calls_to(monkeypatch, name: str) -> list[tuple[int, ...]]:
+    """The entries of each call to `brieskorn.topology.<name>`, from any module."""
+    calls = []
+    honest = getattr(brieskorn.topology, name)
+
+    def counted(a, *args):
+        calls.append(a.entries)
+        return honest(a, *args)
+
+    replace_everywhere(monkeypatch, honest, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def suite_ctx():
+    # the records items 6 and 7 leave for item 8
+    ctx = {"seed": DEFAULT_SEED}
+    assert _item_6_parity_and_signs(DEFAULT_LIMITS, ctx)[0]
+    assert _item_7_sphere_enumeration(DEFAULT_LIMITS, ctx)[0]
+    return ctx
+
+
+def test_item_7_builds_one_lattice_per_sphere_and_calls_no_kappa(monkeypatch):
+    lattices, kappas = calls_to(monkeypatch, "subset_lattice"), calls_to(monkeypatch, "kappa")
+    ctx = {}
+    passed, detail = _item_7_sphere_enumeration(DEFAULT_LIMITS, ctx)
+    assert passed, detail
+    assert lattices == [t.entries for t in ctx["sphere_tuples_20"]]
+    assert len(lattices) == 2830
+    assert kappas == []
+
+
+def test_item_8_builds_lattices_only_for_tuples_items_6_and_7_did_not(monkeypatch, suite_ctx):
+    lattices = calls_to(monkeypatch, "subset_lattice")
+    passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS, suite_ctx)
+    assert passed, detail
+    built = [tuple(sorted(entries)) for entries in lattices]
+    assert len(set(built)) == len(built)
+    assert not set(built) & set(suite_ctx["frequencies"])
+    assert 0 < len(built) < 100
+    # the same verdict and detail when item 8 builds every table itself
+    assert _item_8_frequency_oracle(DEFAULT_LIMITS, {**suite_ctx, "frequencies": {}}) == (
+        passed, detail)
+
+
+def test_item_8_fails_on_a_wrong_recorded_frequency(suite_ctx):
+    recorded = dict(suite_ctx["frequencies"])
+    honest = recorded[(4, 5, 9, 19)]
+    recorded[(4, 5, 9, 19)] = [honest[0] + 1] + honest[1:]
+    passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS,
+                                              {**suite_ctx, "frequencies": recorded})
+    assert not passed
+    assert detail == "frequency mismatch for (4, 5, 9, 19)"

@@ -34,11 +34,16 @@ def _shift_first_stratum(field: str):
     return fault
 
 
-def _nonzero_triple_kappa(honest):
-    # the sphere (4, 5, 9, 19) gets kappa 1 on its triple (4, 5, 9)
-    def kappa(a, limits=DEFAULT_LIMITS):
-        return honest(a, limits) + (a.entries == (4, 5, 9))
-    return kappa
+def _planted_kappa(mask: int, value: int):
+    # the table of the sphere (4, 5, 9, 19) gets kappa `value` on the positions in `mask`
+    def fault(honest):
+        def lattice(a, limits):
+            lcm, freq, kap = honest(a, limits)
+            if a.entries == (4, 5, 9, 19):
+                kap[mask] = value
+            return lcm, freq, kap
+        return lattice
+    return fault
 
 
 def _frequency_off_by_one(honest):
@@ -52,37 +57,50 @@ def _frequency_off_by_one(honest):
     return lattice
 
 
-# (item, items whose records it reads, "module.function", fault(honest) -> faulty)
+# (name, item, items whose records it reads, "module.function", fault(honest) -> faulty)
 FAULTS = [
-    (1, (), "brieskorn.reeb.mean_euler_coprime", lambda honest: lambda a: honest(a) + 1),
-    (2, (), "brieskorn.families.sigma_m_closed_form",
+    ("closed-form-of-sigma4", 1, (), "brieskorn.reeb.mean_euler_coprime",
+     lambda honest: lambda a: honest(a) + 1),
+    ("closed-form-at-m7", 2, (), "brieskorn.families.sigma_m_closed_form",
      lambda honest: lambda m: honest(m) + (m == 7)),
-    (3, (), "brieskorn.reeb.connected_sum_chi",
+    ("connected-sum", 3, (), "brieskorn.reeb.connected_sum_chi",
      lambda honest: lambda values, n: honest(values, n) - Fraction(1, 10**6)),
-    (4, (), "brieskorn.families.derivative_combination",
+    ("derivative-combination", 4, (), "brieskorn.families.derivative_combination",
      lambda honest: lambda: IntPolynomial((honest().coeffs[0] + 1,) + honest().coeffs[1:])),
-    (5, (), "brieskorn.exactarith.dominance_margin",
+    ("dominance-margin", 5, (), "brieskorn.exactarith.dominance_margin",
      lambda honest: lambda p, radius: (honest(p, radius)[0], honest(p, radius)[1] + 1)),
-    (6, (), "brieskorn.reeb._build_strata", _shift_first_stratum("mu_rs")),
-    (7, (), "brieskorn.topology.kappa", _nonzero_triple_kappa),
-    (8, (6, 7), "brieskorn.topology.subset_lattice", _frequency_off_by_one),
-    (9, (), "brieskorn.families.fermat_number",
+    ("stratum-index-parity", 6, (), "brieskorn.reeb._build_strata",
+     _shift_first_stratum("mu_rs")),
+    ("triple-kappa", 7, (), "brieskorn.topology.subset_lattice", _planted_kappa(0b0111, 1)),
+    ("pair-chi-s1", 7, (), "brieskorn.topology.subset_lattice", _planted_kappa(0b0011, -2)),
+    ("lattice-frequency", 8, (6, 7), "brieskorn.topology.subset_lattice",
+     _frequency_off_by_one),
+    ("fermat-number", 9, (), "brieskorn.families.fermat_number",
      lambda honest: lambda k, limits: honest(k, limits) + 2 * (k == 5)),
-    (10, (), "brieskorn.reeb.total_rs_index", lambda honest: lambda a: 0),
-    (11, (), "brieskorn.reeb._build_strata", _shift_first_stratum("frequency")),
+    ("total-index", 10, (), "brieskorn.reeb.total_rs_index", lambda honest: lambda a: 0),
+    ("stratum-frequency", 11, (), "brieskorn.reeb._build_strata",
+     _shift_first_stratum("frequency")),
 ]
 
 
-def case_id(case) -> str:
-    item, _, target, _ = case
-    return f"item{item}-{target.rsplit('.', 1)[1]}"
+def replace_everywhere(patch: pytest.MonkeyPatch, honest, replacement) -> None:
+    """Point every `brieskorn` module binding of `honest` at `replacement`.
+
+    Modules import each other's functions by name, so patching only the
+    defining module would miss the calls that matter.
+    """
+    for loaded, module in list(sys.modules.items()):
+        if loaded.split(".")[0] == "brieskorn":
+            for attr, value in list(vars(module).items()):
+                if value is honest:
+                    patch.setattr(module, attr, replacement)
 
 
 def run_case(case, planted: bool = True) -> tuple[bool, int]:
     """The item's `passed` flag and the exit code of `verify-paper --json`,
     run on the case's item and the items it needs, with the fault planted
     or not."""
-    item, needs, target, fault = case
+    _, item, needs, target, fault = case
     module_name, name = target.rsplit(".", 1)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
@@ -90,13 +108,7 @@ def run_case(case, planted: bool = True) -> tuple[bool, int]:
                       [entry for entry in brieskorn.verify._ITEMS if entry[0] in (*needs, item)])
         if planted:
             honest = getattr(sys.modules[module_name], name)
-            faulty = fault(honest)
-            # modules import each other's functions by name, so every binding is replaced
-            for loaded, module in list(sys.modules.items()):
-                if loaded.split(".")[0] == "brieskorn":
-                    for attr, value in list(vars(module).items()):
-                        if value is honest:
-                            patch.setattr(module, attr, faulty)
+            replace_everywhere(patch, honest, fault(honest))
         with contextlib.redirect_stdout(out):
             code = main(["verify-paper", "--json"])
     items = json.loads(out.getvalue())["result"]["items"]
@@ -106,4 +118,4 @@ def run_case(case, planted: bool = True) -> tuple[bool, int]:
 if __name__ == "__main__":
     # one line per case: its id, the item's passed flag and the exit code
     for case in FAULTS:
-        print(json.dumps([case_id(case), *run_case(case)]))
+        print(json.dumps([case[0], *run_case(case)]))
