@@ -1,7 +1,9 @@
 """End-to-end reproduction suite behind the `verify-paper` CLI command.
 
 Each item recomputes one of the package's reference results from scratch
-and reports pass/fail. Everything is exact arithmetic, so every check is an
+and reports pass/fail. Items 6 and 7 record the strata frequencies of the
+tuples they build in the run's context, and item 8 compares those with its
+oracles instead of building the same subset lattices again. Everything is exact arithmetic, so every check is an
 equality at tolerance zero; the only inequalities are the stated runtime
 budgets. The random sample in item 6 is seeded, so the whole suite is
 deterministic.
