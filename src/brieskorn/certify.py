@@ -19,15 +19,21 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, CertificateFormatError, InvalidInputError, PreconditionError
+from .errors import (
+    CapacityError,
+    CertificateFormatError,
+    InvalidInputError,
+    PreconditionError,
+    UnsupportedLengthError,
+)
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
 from .serialize import fraction_obj, parse_fraction, parse_int, tuple_obj
-from .topology import ExponentTuple, evaluate_criterion
+from .topology import SPHERE_KINDS, ExponentTuple, _verdict, evaluate_criterion
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
 
@@ -94,23 +100,55 @@ def enumerate_sphere_tuples(
     """All canonical sphere tuples with entries in [2, max_exponent].
 
     Canonical means entries sorted ascending; output is in lexicographic
-    order and free of permutation duplicates.
+    order and free of permutation duplicates. The sorted tuples are walked
+    depth-first: each prefix carries the adjacency masks of its gcd graph,
+    and an extension adds the new entry's row from a table of which values
+    share a factor, so every pair of values costs one gcd per call.
     """
     if max_exponent < 2:
         raise InvalidInputError(f"max_exponent must be >= 2, got {max_exponent}")
-    if length < 3:
-        raise InvalidInputError(f"length must be >= 3, got {length}")
+    if length < 4:
+        raise UnsupportedLengthError(
+            f"sphere tuples need at least 4 entries, got length {length}: "
+            "the criterion only detects homology spheres at length 3"
+        )
     candidates = math.comb(max_exponent - 2 + length, length)
     if candidates > limits.search_budget:
         raise CapacityError(
             f"search space holds {candidates} candidate tuples, exceeding "
             f"the budget of {limits.search_budget}"
         )
+    values = range(2, max_exponent + 1)
+    # shares[x]: bit y set iff gcd(x, y) >= 2
+    shares = [0] * (max_exponent + 1)
+    for x in values:
+        for y in range(x, max_exponent + 1):
+            if math.gcd(x, y) >= 2:
+                shares[x] |= 1 << y
+                shares[y] |= 1 << x
     out = []
-    for entries in combinations_with_replacement(range(2, max_exponent + 1), length):
-        t = ExponentTuple(entries)
-        if evaluate_criterion(t).is_sphere:
-            out.append(t)
+    # prefixes still to extend, the next one on top; each with its masks
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), [])]
+    while stack:
+        prefix, adj = stack.pop()
+        k = len(prefix)
+        bit = 1 << k
+        children = []
+        for x in values[prefix[-1] - 2 :] if prefix else values:
+            row = shares[x]
+            grown = adj.copy()
+            mask = 0
+            for i, e in enumerate(prefix):
+                if row >> e & 1:
+                    mask |= 1 << i
+                    grown[i] |= bit
+            grown.append(mask)
+            entries = prefix + (x,)
+            if k + 1 < length:
+                children.append((entries, grown))
+            elif _verdict(entries, grown)[0] in SPHERE_KINDS:
+                out.append(ExponentTuple(entries))
+        stack += reversed(children)  # smallest on top, so the output stays sorted
     return out
 
 
@@ -286,15 +324,19 @@ def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: st
     return digest.hexdigest()
 
 
-def _parse_tuple(entries, what: str, cache: dict) -> ExponentTuple:
+def _parse_tuple(entries, side: str, cache: dict) -> ExponentTuple:
     # Cached only under all-string keys: a string equals only a string, so a
     # hit means the same text, while 4.0 == 4 would let a float entry through.
+    # A miss re-derives the sphere verdict, so it runs once per distinct tuple.
     try:
         key = tuple(entries)
         return cache[key]
     except (KeyError, TypeError):
         pass
-    t = ExponentTuple(tuple(parse_int(e, what) for e in entries))
+    t = ExponentTuple(tuple(parse_int(e, f"{side} entry") for e in entries))
+    kind = evaluate_criterion(t).kind
+    if kind not in SPHERE_KINDS:
+        raise InvalidInputError(f"{side} {t} is not a sphere tuple ({kind.value})")
     if all(type(e) is str for e in key):
         cache[key] = t
     return t
@@ -321,8 +363,8 @@ def _certificate_from_obj(obj: dict, tuples: dict, fractions: dict) -> NonBriesk
     for side in ("tuple_a", "tuple_b"):
         if not isinstance(obj[side], list):
             raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuple_a = _parse_tuple(obj["tuple_a"], "tuple_a entry", tuples)
-    tuple_b = _parse_tuple(obj["tuple_b"], "tuple_b entry", tuples)
+    tuple_a = _parse_tuple(obj["tuple_a"], "tuple_a", tuples)
+    tuple_b = _parse_tuple(obj["tuple_b"], "tuple_b", tuples)
     if obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
     if not isinstance(obj["boundary"], bool):

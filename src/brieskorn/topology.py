@@ -14,6 +14,11 @@ For tuples of length >= 4 either condition is equivalent to the manifold
 being a topological sphere. For length 3 the same graph conditions detect
 an integral homology 3-sphere and no homeomorphism claim is made.
 
+The graph is held as one integer bit mask per entry position (bit j of
+entry i set iff gcd(a_i, a_j) >= 2); the verdict and the components are
+read off those masks, so `certify` can extend a tuple's masks entry by
+entry instead of rebuilding the graph for every candidate.
+
 The subset lattice holds, for every subset J of entry positions, the lcm
 of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),
 all from one lcm and one product per subset and two fast Moebius transforms
@@ -122,46 +127,73 @@ class DivisorGraph:
     isolated_points: tuple[int, ...]
 
 
+def _adjacency(entries: Sequence[int]) -> list[int]:
+    """Gamma(a) as one bit mask per position: bit j of entry i is set iff
+    gcd(a_i, a_j) >= 2."""
+    L = len(entries)
+    adj = [0] * L
+    for i in range(L):
+        for j in range(i + 1, L):
+            if math.gcd(entries[i], entries[j]) >= 2:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _bits(mask: int) -> list[int]:
+    # the positions of the set bits, ascending
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _component(adj: Sequence[int], start: int) -> int:
+    # the component of position `start`, flooded one position at a time
+    comp = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+def _even_component(entries: Sequence[int], adj: Sequence[int]) -> int:
+    # the mask of the component of the even entries, 0 when there is none or
+    # it holds an odd entry
+    evens = 0
+    for i, e in enumerate(entries):
+        if not e & 1:
+            evens |= 1 << i
+    if not evens:
+        return 0
+    # All even entries share the factor 2, hence live in one component.
+    comp = _component(adj, (evens & -evens).bit_length() - 1)
+    if evens & ~comp:
+        raise BrieskornError(f"even entries of {tuple(entries)} span more than one component")
+    return comp if comp == evens else 0
+
+
 def build_graph(a: ExponentTuple) -> DivisorGraph:
     """Construct Gamma(a) with components, isolated points and Gamma^2(a)."""
     entries = a.entries
     L = a.length
-    adjacency: dict[int, set[int]] = {i: set() for i in range(L)}
-    edges = []
-    for i, j in combinations(range(L), 2):
-        if math.gcd(entries[i], entries[j]) >= 2:
-            edges.append((i, j))
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-
+    adj = _adjacency(entries)
+    edges = tuple((i, j) for i in range(L) for j in range(i + 1, L) if adj[i] >> j & 1)
     components = []
-    seen: set[int] = set()
+    seen = 0
     for start in range(L):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
-
-    evens = {i for i in range(L) if entries[i] % 2 == 0}
-    even_component: frozenset[int] = frozenset()
-    if evens:
-        # All even entries share the factor 2, hence live in one component.
-        comp = next(c for c in components if evens & c)
-        if not evens <= comp:
-            raise BrieskornError(f"even entries of {a} span more than one component")
-        if all(entries[i] % 2 == 0 for i in comp):
-            even_component = comp
-
-    isolated = tuple(i for i in range(L) if not adjacency[i])
-    return DivisorGraph(a, tuple(edges), tuple(components), even_component, isolated)
+        if not seen >> start & 1:
+            comp = _component(adj, start)
+            seen |= comp
+            components.append(frozenset(_bits(comp)))
+    even_component = frozenset(_bits(_even_component(entries, adj)))
+    isolated = tuple(i for i in range(L) if not adj[i])
+    return DivisorGraph(a, edges, tuple(components), even_component, isolated)
 
 
 class SphereKind(Enum):
@@ -187,6 +219,38 @@ class SphereVerdict:
         return self.kind in SPHERE_KINDS
 
 
+def _verdict(
+    entries: Sequence[int], adj: Sequence[int]
+) -> tuple[SphereKind, tuple[int, ...], int, bool]:
+    # The fields of SphereVerdict from the adjacency masks of a tuple of
+    # length >= 3, as a plain tuple.
+    isolated = tuple([i for i, m in enumerate(adj) if not m])
+    ec = _bits(_even_component(entries, adj))
+    pairwise_gcd2 = True
+    for i, j in combinations(ec, 2):
+        if math.gcd(entries[i], entries[j]) != 2:
+            pairwise_gcd2 = False
+            break
+    condition_ii = (
+        len(isolated) >= 1 and len(ec) > 1 and len(ec) % 2 == 1 and pairwise_gcd2
+    )
+    condition_i = len(isolated) >= 2
+
+    if len(entries) == 3:
+        kind = (
+            SphereKind.HOMOLOGY_SPHERE_CONDITIONS_HOLD
+            if (condition_i or condition_ii)
+            else SphereKind.HOMOLOGY_SPHERE_CONDITIONS_FAIL
+        )
+    elif condition_ii:
+        kind = SphereKind.SPHERE_BY_II
+    elif condition_i:
+        kind = SphereKind.SPHERE_BY_I
+    else:
+        kind = SphereKind.NOT_SPHERE
+    return kind, isolated, len(ec), pairwise_gcd2
+
+
 def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     """Apply the graph criterion to a tuple of length >= 3.
 
@@ -199,33 +263,7 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
         raise UnsupportedLengthError(
             f"the sphere criterion needs at least 3 entries, got {a.length}"
         )
-    graph = build_graph(a)
-    entries = a.entries
-    ec = sorted(graph.even_component)
-    pairwise_gcd2 = all(
-        math.gcd(entries[i], entries[j]) == 2 for i, j in combinations(ec, 2)
-    )
-    condition_ii = (
-        len(graph.isolated_points) >= 1
-        and len(ec) > 1
-        and len(ec) % 2 == 1
-        and pairwise_gcd2
-    )
-    condition_i = len(graph.isolated_points) >= 2
-
-    if a.length == 3:
-        kind = (
-            SphereKind.HOMOLOGY_SPHERE_CONDITIONS_HOLD
-            if (condition_i or condition_ii)
-            else SphereKind.HOMOLOGY_SPHERE_CONDITIONS_FAIL
-        )
-    elif condition_ii:
-        kind = SphereKind.SPHERE_BY_II
-    elif condition_i:
-        kind = SphereKind.SPHERE_BY_I
-    else:
-        kind = SphereKind.NOT_SPHERE
-    return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
+    return SphereVerdict(*_verdict(a.entries, _adjacency(a.entries)))
 
 
 def _require_exponent_tuple(a) -> None:

@@ -98,17 +98,22 @@ def _inclusion_exclusion_frequencies(periods: Sequence[int]) -> list[int]:
     for i, t in enumerate(periods[:-1]):
         antichain: list[int] = []
         for q in sorted({u // math.gcd(u, t) for u in periods[i + 1 :]}):
-            if all(q % p for p in antichain):  # ascending, so divisors came first
+            for p in antichain:  # ascending, so divisors came first
+                if not q % p:
+                    break
+            else:
                 antichain.append(q)
         if len(antichain) > _ANTICHAIN_CAP:
             raise CapacityError(
                 f"inclusion-exclusion antichain has {len(antichain)} elements "
                 f"at period {t}, exceeding the cap of {_ANTICHAIN_CAP}"
             )
+        # floor(floor(n / t) / m) == floor(n / (t * m)), so t divides once
+        bound = (top - 1) // t
         total = 0
         for k in range(len(antichain) + 1):
-            for subset in combinations(antichain, k):
-                total += (-1) ** k * ((top - 1) // (t * math.lcm(*subset)))
+            terms = sum([bound // math.lcm(*subset) for subset in combinations(antichain, k)])
+            total += -terms if k & 1 else terms
         out.append(total)
     return out + [1]
 

@@ -5,13 +5,106 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from brieskorn.certify import NonBrieskornCertificate, certificate_to_obj
-from brieskorn.errors import CertificateFormatError, InvalidInputError
+from brieskorn.errors import (
+    BrieskornError,
+    CertificateFormatError,
+    InvalidInputError,
+    UnsupportedLengthError,
+)
 from brieskorn.reeb import MeanEulerReport, Stratum
 from brieskorn.serialize import parse_fraction, parse_int
-from brieskorn.topology import ExponentTuple, chi_s1
+from brieskorn.topology import (
+    ExponentTuple,
+    DivisorGraph,
+    SphereKind,
+    SphereVerdict,
+    chi_s1,
+)
+
+
+def set_graph(a):
+    # Gamma(a) from a dict of adjacency sets, one gcd per index pair, and its
+    # components by a stack walk
+    entries = a.entries
+    L = a.length
+    adjacency = {i: set() for i in range(L)}
+    edges = []
+    for i, j in combinations(range(L), 2):
+        if math.gcd(entries[i], entries[j]) >= 2:
+            edges.append((i, j))
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+
+    components = []
+    seen = set()
+    for start in range(L):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        components.append(frozenset(comp))
+
+    evens = {i for i in range(L) if entries[i] % 2 == 0}
+    even_component = frozenset()
+    if evens:
+        comp = next(c for c in components if evens & c)
+        if not evens <= comp:
+            raise BrieskornError(f"even entries of {a} span more than one component")
+        if all(entries[i] % 2 == 0 for i in comp):
+            even_component = comp
+
+    isolated = tuple(i for i in range(L) if not adjacency[i])
+    return DivisorGraph(a, tuple(edges), tuple(components), even_component, isolated)
+
+
+def set_criterion(a):
+    # the sphere criterion read off `set_graph`, condition (ii) first
+    if a.length < 3:
+        raise UnsupportedLengthError(
+            f"the sphere criterion needs at least 3 entries, got {a.length}"
+        )
+    graph = set_graph(a)
+    entries = a.entries
+    ec = sorted(graph.even_component)
+    pairwise_gcd2 = all(
+        math.gcd(entries[i], entries[j]) == 2 for i, j in combinations(ec, 2)
+    )
+    condition_ii = (
+        len(graph.isolated_points) >= 1
+        and len(ec) > 1
+        and len(ec) % 2 == 1
+        and pairwise_gcd2
+    )
+    condition_i = len(graph.isolated_points) >= 2
+    if a.length == 3:
+        kind = (
+            SphereKind.HOMOLOGY_SPHERE_CONDITIONS_HOLD
+            if (condition_i or condition_ii)
+            else SphereKind.HOMOLOGY_SPHERE_CONDITIONS_FAIL
+        )
+    elif condition_ii:
+        kind = SphereKind.SPHERE_BY_II
+    elif condition_i:
+        kind = SphereKind.SPHERE_BY_I
+    else:
+        kind = SphereKind.NOT_SPHERE
+    return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
+
+
+def filtered_sphere_tuples(max_exponent, length):
+    # every sorted tuple over [2, max_exponent], kept if `set_criterion` calls it a sphere
+    candidates = combinations_with_replacement(range(2, max_exponent + 1), length)
+    return [t for t in map(ExponentTuple, candidates) if set_criterion(t).is_sphere]
 
 
 def naive_frequencies(periods):
@@ -128,8 +221,12 @@ def _per_field_certificate(obj):
     for side in ("tuple_a", "tuple_b"):
         if not isinstance(obj[side], list):
             raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuple_a = ExponentTuple(tuple(parse_int(e, "tuple_a entry") for e in obj["tuple_a"]))
-    tuple_b = ExponentTuple(tuple(parse_int(e, "tuple_b entry") for e in obj["tuple_b"]))
+    tuples = {}
+    for side in ("tuple_a", "tuple_b"):
+        t = tuples[side] = ExponentTuple(tuple(parse_int(e, f"{side} entry") for e in obj[side]))
+        verdict = set_criterion(t)
+        if not verdict.is_sphere:
+            raise InvalidInputError(f"{side} {t} is not a sphere tuple ({verdict.kind.value})")
     if obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
     if not isinstance(obj["boundary"], bool):
@@ -137,8 +234,8 @@ def _per_field_certificate(obj):
     if not isinstance(obj["conclusion"], str):
         raise InvalidInputError("conclusion must be a string")
     return NonBrieskornCertificate(
-        tuple_a=tuple_a,
-        tuple_b=tuple_b,
+        tuple_a=tuples["tuple_a"],
+        tuple_b=tuples["tuple_b"],
         chi_a=parse_fraction(obj["chi_a"], "chi_a"),
         chi_b=parse_fraction(obj["chi_b"], "chi_b"),
         chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),

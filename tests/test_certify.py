@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -34,12 +35,13 @@ from brieskorn.errors import (
     CertificateFormatError,
     InvalidInputError,
     PreconditionError,
+    UnsupportedLengthError,
 )
 from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import Limits
 from brieskorn.reeb import connected_sum_chi, mean_euler
-from brieskorn.topology import make_tuple
-from oracles import json_dumps_lines, per_field_read_certificates
+from brieskorn.topology import evaluate_criterion, make_tuple
+from oracles import filtered_sphere_tuples, json_dumps_lines, per_field_read_certificates
 
 HALF = Fraction(1, 2)
 
@@ -69,6 +71,44 @@ def test_enumerate_is_sorted_and_canonical():
 def test_enumerate_budget():
     with pytest.raises(CapacityError, match="15 candidate"):
         enumerate_sphere_tuples(4, 4, Limits(search_budget=10))
+
+
+def test_enumerate_budget_comes_before_any_work(monkeypatch):
+    # no gcd table and no verdict before the budget is checked
+    monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
+    monkeypatch.setattr("brieskorn.certify._verdict", None)
+    with pytest.raises(CapacityError, match="495 candidate"):
+        enumerate_sphere_tuples(10, 4, Limits(search_budget=494))
+
+
+@pytest.mark.parametrize("max_exponent", range(2, 17))
+def test_enumerate_matches_the_filtered_oracle(max_exponent):
+    # the prefix walk over the gcd table against every sorted 4-tuple put
+    # through the set-based criterion
+    assert enumerate_sphere_tuples(max_exponent) == filtered_sphere_tuples(max_exponent, 4)
+
+
+def test_enumerate_five_tuples_matches_the_filtered_oracle():
+    for max_exponent in range(2, 11):
+        spheres = enumerate_sphere_tuples(max_exponent, 5)
+        assert spheres == filtered_sphere_tuples(max_exponent, 5)
+    assert len(spheres) > 0
+
+
+def test_enumerate_long_tuples_without_recursion():
+    # the walk keeps its own stack, so a length past the interpreter's
+    # recursion limit is only as deep as its candidates
+    assert enumerate_sphere_tuples(2, 1500) == []
+    spheres = enumerate_sphere_tuples(3, 40)
+    assert spheres == filtered_sphere_tuples(3, 40)
+    assert [t.entries for t in spheres] == [(2,) * 39 + (3,)]  # condition (ii)
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_enumerate_refuses_lengths_below_four(length):
+    # at length 3 the criterion detects only homology spheres, so no tuple is a sphere
+    with pytest.raises(UnsupportedLengthError, match=f"at least 4 entries, got length {length}"):
+        enumerate_sphere_tuples(10, length)
 
 
 def test_enumerated_spheres_have_positive_invariant():
@@ -313,6 +353,21 @@ def test_each_tampered_field_is_rejected_with_its_line_number(tmp_path, field):
     assert info.value.line_number == 2
 
 
+@pytest.mark.parametrize("side", ["tuple_a", "tuple_b"])
+@pytest.mark.parametrize("entries", [["2", "2", "2", "2"], ["2", "4", "6", "12"]])
+def test_a_tuple_that_is_not_a_sphere_is_rejected_with_its_line_number(tmp_path, side, entries):
+    # the chi fields stay those of the reference line, so only the verdict
+    # re-derived from the tuple can reject it
+    reference = certificate_to_obj(certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0])
+    tampered = {**reference, side: entries}
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (reference, tampered)))
+    with pytest.raises(CertificateFormatError, match="line 2: .* is not a sphere tuple "
+                       r"\(NOT_SPHERE\)") as info:
+        read_certificates(path)
+    assert info.value.line_number == 2
+
+
 # each non-canonical integer text, in a field where its value would be valid
 NON_CANONICAL_INTEGERS = {
     "spaced": (["tuple_a", 0], " 4 "),
@@ -415,9 +470,10 @@ RATIONALS = st.builds(
     st.integers(1, 10**40) | st.integers(1, 4),
 )
 NONPOSITIVE = st.just(Fraction(0)) | RATIONALS.map(lambda q: -abs(q))
+# sphere tuples only: the reader refuses any other tuple
 TUPLES = st.lists(st.integers(2, 10**30) | st.integers(2, 9), min_size=4, max_size=4).map(
     make_tuple
-)
+).filter(lambda t: evaluate_criterion(t).is_sphere)
 
 
 @st.composite
@@ -599,6 +655,9 @@ def _reader_cases():
         "wrong_conclusion": _lines(a, _with(a, ["conclusion"], "a Brieskorn sphere")),
         "non_string_conclusion": _lines(_with(a, ["conclusion"], 5)),
         "two_faults": _lines(_with(_with(a, ["dimension"], 4), ["tuple_b", 0], "x")),
+        "non_sphere_tuple": _lines(a, _with(a, ["tuple_b"], ["2", "2", "2", "2"])),
+        "non_sphere_before_bad_entry": _lines(
+            _with(_with(a, ["tuple_a"], ["2", "4", "6", "12"]), ["tuple_b", 0], "x")),
     }
     return cases
 
@@ -625,6 +684,8 @@ READER_CASES = [
     "non_boolean_boundary",
     "non_reduced",
     "non_reduced_sum",
+    "non_sphere_before_bad_entry",
+    "non_sphere_tuple",
     "non_string_conclusion",
     "not_an_object",
     "number_entries",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,5 +183,49 @@ def test_package_passes_its_limits_on():
         f"{path.name}:{line}"
         for path in SOURCES
         for line in default_limits_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def non_stdlib_imports(source: str, package: str = "brieskorn") -> list[int]:
+    """Lines of an `import` or absolute `from` naming a top-level module that
+    is neither in the standard library nor `package` itself."""
+    allowed = set(sys.stdlib_module_names) | {package}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue  # relative imports stay inside the package
+        if any(name.partition(".")[0] not in allowed for name in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from __future__ import annotations\nimport math\nfrom itertools import chain", []),
+        ("from .errors import BrieskornError\nfrom . import topology", []),
+        ("import brieskorn.topology\nfrom brieskorn.reeb import mean_euler", []),
+        ("import numpy", [1]),
+        ("import os, hypothesis", [1]),
+        ("from hypothesis import given", [1]),
+        ("import math\nif True:\n    import sympy.ntheory as nt", [3]),
+        ("from brieskornx import f", [1]),
+    ],
+)
+def test_stdlib_only_rule(source, lines):
+    assert non_stdlib_imports(source) == lines
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime has no dependencies beyond Python itself
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in non_stdlib_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -22,7 +22,7 @@ from brieskorn.topology import (
     pairwise_coprime,
     subset_lattice,
 )
-from oracles import alternating_kappa, brieskorn_pham_kappa
+from oracles import alternating_kappa, brieskorn_pham_kappa, set_criterion, set_graph
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=6
@@ -123,6 +123,21 @@ def test_components_partition_vertices():
         g = build_graph(make_tuple(entries))
         seen = sorted(i for c in g.components for i in c)
         assert seen == list(range(len(entries)))
+
+
+def test_mask_graph_and_criterion_match_the_set_oracle_on_small_4_tuples():
+    for entries in combinations_with_replacement(range(2, 21), 4):
+        t = ExponentTuple(entries)
+        assert build_graph(t) == set_graph(t), entries
+        assert evaluate_criterion(t) == set_criterion(t), entries
+
+
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=3, max_size=9))
+def test_mask_graph_and_criterion_match_the_set_oracle(entries):
+    # every field: edges, components, even component, isolated points and the verdict
+    t = ExponentTuple(tuple(entries))
+    assert build_graph(t) == set_graph(t)
+    assert evaluate_criterion(t) == set_criterion(t)
 
 
 # -------------------------------------------------------- criterion
