@@ -110,8 +110,8 @@ def _inclusion_exclusion_frequencies(periods: Sequence[int]) -> list[int]:
             )
         # floor(floor(n / t) / m) == floor(n / (t * m)), so t divides once
         bound = (top - 1) // t
-        total = 0
-        for k in range(len(antichain) + 1):
+        total = bound  # the empty subset
+        for k in range(1, len(antichain) + 1):
             terms = sum([bound // math.lcm(*subset) for subset in combinations(antichain, k)])
             total += -terms if k & 1 else terms
         out.append(total)
