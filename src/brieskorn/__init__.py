@@ -12,6 +12,7 @@ from .certify import (
     DistinctnessClass,
     DistinctnessPartition,
     NonBrieskornCertificate,
+    certificate_lines,
     certify_non_brieskorn_pairs,
     distinctness_classes,
     enumerate_sphere_tuples,
@@ -54,14 +55,11 @@ from .reeb import (
     total_rs_index,
 )
 from .topology import (
-    DivisorGraph,
     ExponentTuple,
     SphereKind,
     SphereVerdict,
-    build_graph,
     chi_s1,
     evaluate_criterion,
-    invariant_subtuples,
     kappa,
     make_tuple,
     noncoprime_pair,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
-from .serialize import fraction_obj, parse_fraction, parse_int, tuple_obj
+from .serialize import parse_fraction, parse_int
 from .topology import SPHERE_KINDS, ExponentTuple, _verdict, evaluate_criterion
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
@@ -111,6 +111,11 @@ def enumerate_sphere_tuples(
         raise UnsupportedLengthError(
             f"sphere tuples need at least 4 entries, got length {length}: "
             "the criterion only detects homology spheres at length 3"
+        )
+    if length > limits.subset_cap:
+        # the budget counts candidates, but a candidate's walk grows with its length
+        raise CapacityError(
+            f"sphere tuples of length {length} exceed the length cap of {limits.subset_cap}"
         )
     candidates = math.comb(max_exponent - 2 + length, length)
     if candidates > limits.search_budget:
@@ -235,19 +240,6 @@ def distinctness_classes(
     return DistinctnessPartition(tuple(classes))
 
 
-def certificate_to_obj(cert: NonBrieskornCertificate) -> dict:
-    return {
-        "tuple_a": tuple_obj(cert.tuple_a),
-        "tuple_b": tuple_obj(cert.tuple_b),
-        "chi_a": fraction_obj(cert.chi_a),
-        "chi_b": fraction_obj(cert.chi_b),
-        "chi_sum": fraction_obj(cert.chi_sum),
-        "dimension": cert.dimension,
-        "boundary": cert.boundary,
-        "conclusion": cert.conclusion,
-    }
-
-
 _REQUIRED_FIELDS = (
     "tuple_a",
     "tuple_b",
@@ -263,10 +255,16 @@ _REQUIRED_FIELDS = (
 _WRITE_CHUNK_LINES = 4096
 
 
-def _certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Iterator[str]:
-    # The text `json.dumps(certificate_to_obj(c), separators=(",", ":"))` gives,
-    # built from fragments: each (tuple, chi) side is formatted once, chi_sum
-    # once per line, and the tail is one of two fixed texts.
+def certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Iterator[str]:
+    """The JSONL line of each certificate, newline included.
+
+    A line is one compact JSON object with the keys tuple_a, tuple_b,
+    chi_a, chi_b, chi_sum, dimension, boundary and conclusion, in that
+    order. Tuples are lists of decimal strings and rationals are
+    {"num": ..., "den": ...} objects of decimal strings. The text is built
+    from fragments: each (tuple, chi) side is formatted once, chi_sum once
+    per line, and the tail is one of two fixed texts.
+    """
     sides: dict[tuple, tuple[str, str]] = {}
     conclusion = json.dumps(CONCLUSION)
     tails = {
@@ -298,17 +296,16 @@ def _certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Itera
 def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: str | Path) -> str:
     """Write certificates as JSONL, byte-deterministic; return the file's sha256 hex digest.
 
-    Each line is the compact JSON of `certificate_to_obj`, keys in that order.
-    The lines go to a temporary file beside `path`, which replaces `path` only
-    once every line is written, so a failure leaves the old file as it was. A
-    device or pipe at `path` is written in place, since replacing it would
-    remove it.
+    The lines are those of `certificate_lines`. They go to a temporary file
+    beside `path`, which replaces `path` only once every line is written, so
+    a failure leaves the old file as it was. A device or pipe at `path` is
+    written in place, since replacing it would remove it.
     """
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else f"{target}.{os.urandom(8).hex()}.tmp"
     digest = hashlib.sha256()
-    lines = _certificate_lines(certificates)
+    lines = certificate_lines(certificates)
     try:
         with open(tmp, "wb" if in_place else "xb") as fh:
             while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
@@ -324,47 +321,49 @@ def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: st
     return digest.hexdigest()
 
 
-def _parse_tuple(entries, side: str, cache: dict) -> ExponentTuple:
-    # Cached only under all-string keys: a string equals only a string, so a
-    # hit means the same text, while 4.0 == 4 would let a float entry through.
-    # A miss re-derives the sphere verdict, so it runs once per distinct tuple.
+def _parse_side(entries, chi_obj, side: str, cache: dict) -> tuple[ExponentTuple, Fraction]:
+    # One side of a line: tuple_a with chi_a, or tuple_b with chi_b. Cached
+    # only under all-string keys: a string equals only a string, so a hit
+    # means the same text, while 4.0 == 4 would let a float entry through. A
+    # miss re-derives the tuple's sphere verdict and chi_m, so in a valid file
+    # they run once per distinct tuple.
+    key = None
+    if type(chi_obj) is dict and len(chi_obj) == 2:
+        key = (*entries, chi_obj.get("num"), chi_obj.get("den"))
     try:
-        key = tuple(entries)
         return cache[key]
     except (KeyError, TypeError):
         pass
-    t = ExponentTuple(tuple(parse_int(e, f"{side} entry") for e in entries))
+    what = f"tuple_{side}"
+    t = ExponentTuple(tuple(parse_int(e, f"{what} entry") for e in entries))
+    if t.length != 4:
+        raise InvalidInputError(
+            f"{what} has {t.length} entries, but a 5-dimensional sphere needs 4"
+        )
     kind = evaluate_criterion(t).kind
     if kind not in SPHERE_KINDS:
-        raise InvalidInputError(f"{side} {t} is not a sphere tuple ({kind.value})")
-    if all(type(e) is str for e in key):
-        cache[key] = t
-    return t
+        raise InvalidInputError(f"{what} {t} is not a sphere tuple ({kind.value})")
+    chi_m = mean_euler(t).value
+    if chi_m is None:
+        raise InvalidInputError(f"{what} {t} has no chi_m (total index 0)")
+    # a line whose chi values add up is still forged unless they are its tuples' chi_m
+    chi = parse_fraction(chi_obj, f"chi_{side}")
+    if chi != chi_m:
+        raise InvalidInputError(f"chi_{side} {chi} is not chi_m {chi_m} of {t}")
+    if key is not None and all(type(x) is str for x in key):
+        cache[key] = t, chi
+    return t, chi
 
 
-def _parse_fraction(obj, what: str, cache: dict) -> Fraction:
-    # Cached under its (num, den) strings only, for the reason `_parse_tuple`
-    # gives; chi_a and chi_b repeat with their tuples.
-    key = (obj.get("num"), obj.get("den")) if type(obj) is dict and len(obj) == 2 else None
-    try:
-        return cache[key]
-    except (KeyError, TypeError):
-        pass
-    q = parse_fraction(obj, what)
-    if type(key[0]) is str and type(key[1]) is str:
-        cache[key] = q
-    return q
-
-
-def _certificate_from_obj(obj: dict, tuples: dict, fractions: dict) -> NonBrieskornCertificate:
+def _certificate_from_obj(obj: dict, sides: dict) -> NonBrieskornCertificate:
     missing = [k for k in _REQUIRED_FIELDS if k not in obj]
     if missing:
         raise InvalidInputError(f"missing fields {missing}")
     for side in ("tuple_a", "tuple_b"):
         if not isinstance(obj[side], list):
             raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuple_a = _parse_tuple(obj["tuple_a"], "tuple_a", tuples)
-    tuple_b = _parse_tuple(obj["tuple_b"], "tuple_b", tuples)
+    tuple_a, chi_a = _parse_side(obj["tuple_a"], obj["chi_a"], "a", sides)
+    tuple_b, chi_b = _parse_side(obj["tuple_b"], obj["chi_b"], "b", sides)
     if obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
     if not isinstance(obj["boundary"], bool):
@@ -374,8 +373,8 @@ def _certificate_from_obj(obj: dict, tuples: dict, fractions: dict) -> NonBriesk
     return NonBrieskornCertificate(
         tuple_a=tuple_a,
         tuple_b=tuple_b,
-        chi_a=_parse_fraction(obj["chi_a"], "chi_a", fractions),
-        chi_b=_parse_fraction(obj["chi_b"], "chi_b", fractions),
+        chi_a=chi_a,
+        chi_b=chi_b,
         # nearly every line has its own chi_sum, so caching it would only grow
         chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
         boundary=obj["boundary"],
@@ -386,11 +385,12 @@ def _certificate_from_obj(obj: dict, tuples: dict, fractions: dict) -> NonBriesk
 def iter_certificates(path: str | Path) -> Iterator[NonBrieskornCertificate]:
     """Yield the certificates of a JSONL file in order; errors cite the 1-based line number.
 
-    Each distinct tuple text and chi_a or chi_b text is parsed and validated
-    once per file; every line is still checked as a whole certificate.
+    Each tuple must be a sphere of 4 entries, and its chi must be the chi_m
+    re-derived from it. Each distinct (tuple, chi) text is parsed and
+    checked once per file; every line is still checked as a whole
+    certificate.
     """
-    tuples: dict = {}
-    fractions: dict = {}
+    sides: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -402,7 +402,7 @@ def iter_certificates(path: str | Path) -> Iterator[NonBrieskornCertificate]:
             if not isinstance(obj, dict):
                 raise CertificateFormatError(lineno, "expected a JSON object")
             try:
-                cert = _certificate_from_obj(obj, tuples, fractions)
+                cert = _certificate_from_obj(obj, sides)
             except InvalidInputError as exc:
                 raise CertificateFormatError(lineno, str(exc)) from None
             yield cert

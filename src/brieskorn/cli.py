@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .certify import (
-    certificate_to_obj,
+    certificate_lines,
     certify_non_brieskorn_pairs,
     enumerate_sphere_tuples,
     write_certificates,
@@ -23,7 +23,7 @@ from .families import closed_form_checks, fermat_asymptotics_report, sigma_famil
 from .limits import Limits, limits_from_env
 from .reeb import _mean_euler, connected_sum_chi, mean_euler
 from .serialize import fraction_obj, parse_int, tuple_obj
-from .topology import ExponentTuple, _chi_s1, build_graph, evaluate_criterion, subset_lattice
+from .topology import ExponentTuple, _chi_s1, evaluate_criterion, subset_lattice
 from .verify import run_reproduction_suite
 
 SCHEMA_VERSION = 2
@@ -77,13 +77,12 @@ def _limits_from_args(args) -> Limits:
 def _cmd_criterion(args) -> int:
     t = _parse_tuple_tokens(args.entries)
     verdict = evaluate_criterion(t)
-    graph = build_graph(t)
 
     comp_strs = [
         "{" + ", ".join(f"a_{i}={t.entries[i]}" for i in sorted(c)) + "}"
-        for c in graph.components
+        for c in verdict.components
     ]
-    ec = sorted(graph.even_component)
+    ec = sorted(verdict.even_component)
     human = [
         f"tuple:            {t}",
         f"verdict:          {verdict.kind.value}",
@@ -99,7 +98,7 @@ def _cmd_criterion(args) -> int:
         "tuple": tuple_obj(t),
         "verdict": verdict.kind.value,
         "is_sphere": verdict.is_sphere,
-        "components": [sorted(c) for c in graph.components],
+        "components": [sorted(c) for c in verdict.components],
         "isolated_points": list(verdict.isolated_points),
         "even_component": {
             "indices": ec,
@@ -330,7 +329,7 @@ def _cmd_search(args) -> int:
     if args.out:
         result["sha256"] = write_certificates(certs, args.out)
     else:
-        result["certificate_list"] = list(map(certificate_to_obj, certs))
+        result["certificate_list"] = [json.loads(line) for line in certificate_lines(certs)]
     _emit(args, _envelope("search", {"max_exponent": str(args.max_exponent),
                                      "out": args.out}, result, []), human)
     return EXIT_OK

@@ -108,25 +108,6 @@ def make_tuple(entries: Iterable[int]) -> ExponentTuple:
     return ExponentTuple(tuple(entries))
 
 
-@dataclass(frozen=True)
-class DivisorGraph:
-    """Gamma(a): vertices are entry indices, edges join pairs with gcd >= 2.
-
-    `even_component` is the connected component consisting of the even
-    entries. It is empty when there is no even entry, and also when the
-    component containing the even entries picks up an odd vertex (such a
-    component does not consist of even numbers; no pair across the parity
-    line can have gcd exactly 2, so the sphere condition (ii) fails there
-    regardless).
-    """
-
-    exponents: ExponentTuple
-    edges: tuple[tuple[int, int], ...]
-    components: tuple[frozenset[int], ...]
-    even_component: frozenset[int]
-    isolated_points: tuple[int, ...]
-
-
 def _adjacency(entries: Sequence[int]) -> list[int]:
     """Gamma(a) as one bit mask per position: bit j of entry i is set iff
     gcd(a_i, a_j) >= 2."""
@@ -178,22 +159,16 @@ def _even_component(entries: Sequence[int], adj: Sequence[int]) -> int:
     return comp if comp == evens else 0
 
 
-def build_graph(a: ExponentTuple) -> DivisorGraph:
-    """Construct Gamma(a) with components, isolated points and Gamma^2(a)."""
-    entries = a.entries
-    L = a.length
-    adj = _adjacency(entries)
-    edges = tuple((i, j) for i in range(L) for j in range(i + 1, L) if adj[i] >> j & 1)
+def _components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
+    # the components of the graph, ordered by their smallest position
     components = []
     seen = 0
-    for start in range(L):
+    for start in range(len(adj)):
         if not seen >> start & 1:
             comp = _component(adj, start)
             seen |= comp
             components.append(frozenset(_bits(comp)))
-    even_component = frozenset(_bits(_even_component(entries, adj)))
-    isolated = tuple(i for i in range(L) if not adj[i])
-    return DivisorGraph(a, edges, tuple(components), even_component, isolated)
+    return tuple(components)
 
 
 class SphereKind(Enum):
@@ -209,20 +184,37 @@ SPHERE_KINDS = frozenset({SphereKind.SPHERE_BY_I, SphereKind.SPHERE_BY_II})
 
 @dataclass(frozen=True)
 class SphereVerdict:
+    """The criterion's verdict on Gamma(a), with the parts of the graph it reads.
+
+    Vertices are entry indices. `components` are ordered by their smallest
+    index. `even_component` is the connected component consisting of the
+    even entries. It is empty when there is no even entry, and also when the
+    component containing the even entries picks up an odd vertex (such a
+    component does not consist of even numbers; no pair across the parity
+    line can have gcd exactly 2, so the sphere condition (ii) fails there
+    regardless).
+    """
+
     kind: SphereKind
     isolated_points: tuple[int, ...]
-    even_component_size: int
+    components: tuple[frozenset[int], ...]
+    even_component: frozenset[int]
     even_component_pairwise_gcd2: bool
 
     @property
     def is_sphere(self) -> bool:
         return self.kind in SPHERE_KINDS
 
+    @property
+    def even_component_size(self) -> int:
+        return len(self.even_component)
+
 
 def _verdict(
     entries: Sequence[int], adj: Sequence[int]
-) -> tuple[SphereKind, tuple[int, ...], int, bool]:
-    # The fields of SphereVerdict from the adjacency masks of a tuple of
+) -> tuple[SphereKind, tuple[int, ...], list[int], bool]:
+    # The kind, the isolated points, the even component's indices (ascending)
+    # and its pairwise-gcd-2 test, from the adjacency masks of a tuple of
     # length >= 3, as a plain tuple.
     isolated = tuple([i for i, m in enumerate(adj) if not m])
     ec = _bits(_even_component(entries, adj))
@@ -248,22 +240,26 @@ def _verdict(
         kind = SphereKind.SPHERE_BY_I
     else:
         kind = SphereKind.NOT_SPHERE
-    return kind, isolated, len(ec), pairwise_gcd2
+    return kind, isolated, ec, pairwise_gcd2
 
 
 def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     """Apply the graph criterion to a tuple of length >= 3.
 
-    Condition (ii) is checked first so a tuple satisfying both conditions is
-    reported through its even-component structure. Length-3 tuples receive
-    the HOMOLOGY_SPHERE_* kinds: the graph conditions there detect an
-    integral homology 3-sphere, not a homeomorphism type.
+    The verdict carries the components, isolated points and even component
+    it was read from. Condition (ii) is checked first so a tuple satisfying
+    both conditions is reported through its even-component structure.
+    Length-3 tuples receive the HOMOLOGY_SPHERE_* kinds: the graph
+    conditions there detect an integral homology 3-sphere, not a
+    homeomorphism type.
     """
     if a.length < 3:
         raise UnsupportedLengthError(
             f"the sphere criterion needs at least 3 entries, got {a.length}"
         )
-    return SphereVerdict(*_verdict(a.entries, _adjacency(a.entries)))
+    adj = _adjacency(a.entries)
+    kind, isolated, ec, pairwise_gcd2 = _verdict(a.entries, adj)
+    return SphereVerdict(kind, isolated, _components(adj), frozenset(ec), pairwise_gcd2)
 
 
 def _require_exponent_tuple(a) -> None:
@@ -329,25 +325,6 @@ def chi_s1(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
     """Circle-equivariant Euler characteristic: n + (-1)^(n-1) * kappa(a)."""
     k = kappa(a, limits)  # first: it refuses what is not an ExponentTuple
     return _chi_s1(a.length, k)
-
-
-def invariant_subtuples(
-    a: ExponentTuple, min_length: int = 2
-) -> list[tuple[tuple[int, ...], ExponentTuple]]:
-    """All subtuples with at least `min_length` entries, with their index sets.
-
-    Enumeration order is deterministic: by size ascending, then
-    index-lexicographic within each size.
-    """
-    if not 2 <= min_length <= a.length:
-        raise InvalidInputError(
-            f"min_length must be in [2, {a.length}], got {min_length}"
-        )
-    out = []
-    for size in range(min_length, a.length + 1):
-        for indices in combinations(range(a.length), size):
-            out.append((indices, a.subtuple(indices)))
-    return out
 
 
 def pairwise_coprime(a: ExponentTuple) -> bool:

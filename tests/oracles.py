@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from brieskorn.certify import NonBrieskornCertificate, certificate_to_obj
+from brieskorn.certify import NonBrieskornCertificate
 from brieskorn.errors import (
     BrieskornError,
     CertificateFormatError,
@@ -15,26 +15,22 @@ from brieskorn.errors import (
     UnsupportedLengthError,
 )
 from brieskorn.reeb import MeanEulerReport, Stratum
-from brieskorn.serialize import parse_fraction, parse_int
-from brieskorn.topology import (
-    ExponentTuple,
-    DivisorGraph,
-    SphereKind,
-    SphereVerdict,
-    chi_s1,
-)
+from brieskorn.serialize import fraction_obj, parse_fraction, parse_int, tuple_obj
+from brieskorn.topology import ExponentTuple, SphereKind, SphereVerdict, chi_s1
 
 
-def set_graph(a):
-    # Gamma(a) from a dict of adjacency sets, one gcd per index pair, and its
-    # components by a stack walk
+def set_criterion(a):
+    # the sphere criterion on Gamma(a) built from a dict of adjacency sets, one
+    # gcd per index pair, with its components by a stack walk; condition (ii) first
+    if a.length < 3:
+        raise UnsupportedLengthError(
+            f"the sphere criterion needs at least 3 entries, got {a.length}"
+        )
     entries = a.entries
     L = a.length
     adjacency = {i: set() for i in range(L)}
-    edges = []
     for i, j in combinations(range(L), 2):
         if math.gcd(entries[i], entries[j]) >= 2:
-            edges.append((i, j))
             adjacency[i].add(j)
             adjacency[j].add(i)
 
@@ -64,28 +60,12 @@ def set_graph(a):
             even_component = comp
 
     isolated = tuple(i for i in range(L) if not adjacency[i])
-    return DivisorGraph(a, tuple(edges), tuple(components), even_component, isolated)
-
-
-def set_criterion(a):
-    # the sphere criterion read off `set_graph`, condition (ii) first
-    if a.length < 3:
-        raise UnsupportedLengthError(
-            f"the sphere criterion needs at least 3 entries, got {a.length}"
-        )
-    graph = set_graph(a)
-    entries = a.entries
-    ec = sorted(graph.even_component)
+    ec = sorted(even_component)
     pairwise_gcd2 = all(
         math.gcd(entries[i], entries[j]) == 2 for i, j in combinations(ec, 2)
     )
-    condition_ii = (
-        len(graph.isolated_points) >= 1
-        and len(ec) > 1
-        and len(ec) % 2 == 1
-        and pairwise_gcd2
-    )
-    condition_i = len(graph.isolated_points) >= 2
+    condition_ii = len(isolated) >= 1 and len(ec) > 1 and len(ec) % 2 == 1 and pairwise_gcd2
+    condition_i = len(isolated) >= 2
     if a.length == 3:
         kind = (
             SphereKind.HOMOLOGY_SPHERE_CONDITIONS_HOLD
@@ -98,7 +78,7 @@ def set_criterion(a):
         kind = SphereKind.SPHERE_BY_I
     else:
         kind = SphereKind.NOT_SPHERE
-    return SphereVerdict(kind, graph.isolated_points, len(ec), pairwise_gcd2)
+    return SphereVerdict(kind, isolated, tuple(components), even_component, pairwise_gcd2)
 
 
 def filtered_sphere_tuples(max_exponent, length):
@@ -202,6 +182,20 @@ def pairwise_isolated_exponent(entries):
     )
 
 
+def certificate_to_obj(cert):
+    # one certificate as the JSON object of its file line, keys in file order
+    return {
+        "tuple_a": tuple_obj(cert.tuple_a),
+        "tuple_b": tuple_obj(cert.tuple_b),
+        "chi_a": fraction_obj(cert.chi_a),
+        "chi_b": fraction_obj(cert.chi_b),
+        "chi_sum": fraction_obj(cert.chi_sum),
+        "dimension": cert.dimension,
+        "boundary": cert.boundary,
+        "conclusion": cert.conclusion,
+    }
+
+
 def json_dumps_lines(certificates):
     # the certificate file's text, one `json.dumps` of each certificate object
     return "".join(
@@ -221,12 +215,23 @@ def _per_field_certificate(obj):
     for side in ("tuple_a", "tuple_b"):
         if not isinstance(obj[side], list):
             raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuples = {}
-    for side in ("tuple_a", "tuple_b"):
-        t = tuples[side] = ExponentTuple(tuple(parse_int(e, f"{side} entry") for e in obj[side]))
+    tuples, chis = {}, {}
+    for side in ("a", "b"):
+        what = f"tuple_{side}"
+        t = tuples[side] = ExponentTuple(tuple(parse_int(e, f"{what} entry") for e in obj[what]))
+        if len(t.entries) != 4:
+            raise InvalidInputError(
+                f"{what} has {len(t.entries)} entries, but a 5-dimensional sphere needs 4"
+            )
         verdict = set_criterion(t)
         if not verdict.is_sphere:
-            raise InvalidInputError(f"{side} {t} is not a sphere tuple ({verdict.kind.value})")
+            raise InvalidInputError(f"{what} {t} is not a sphere tuple ({verdict.kind.value})")
+        chi_m = per_stratum_mean_euler(t).value
+        if chi_m is None:
+            raise InvalidInputError(f"{what} {t} has no chi_m (total index 0)")
+        chi = chis[side] = parse_fraction(obj[f"chi_{side}"], f"chi_{side}")
+        if chi != chi_m:
+            raise InvalidInputError(f"chi_{side} {chi} is not chi_m {chi_m} of {t}")
     if obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
     if not isinstance(obj["boundary"], bool):
@@ -234,10 +239,10 @@ def _per_field_certificate(obj):
     if not isinstance(obj["conclusion"], str):
         raise InvalidInputError("conclusion must be a string")
     return NonBrieskornCertificate(
-        tuple_a=tuples["tuple_a"],
-        tuple_b=tuples["tuple_b"],
-        chi_a=parse_fraction(obj["chi_a"], "chi_a"),
-        chi_b=parse_fraction(obj["chi_b"], "chi_b"),
+        tuple_a=tuples["a"],
+        tuple_b=tuples["b"],
+        chi_a=chis["a"],
+        chi_b=chis["b"],
         chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
         boundary=obj["boundary"],
         conclusion=obj["conclusion"],

@@ -22,7 +22,6 @@ import brieskorn
 from brieskorn.certify import (
     CONCLUSION,
     NonBrieskornCertificate,
-    certificate_to_obj,
     certify_non_brieskorn_pairs,
     distinctness_classes,
     enumerate_sphere_tuples,
@@ -41,7 +40,12 @@ from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import Limits
 from brieskorn.reeb import connected_sum_chi, mean_euler
 from brieskorn.topology import evaluate_criterion, make_tuple
-from oracles import filtered_sphere_tuples, json_dumps_lines, per_field_read_certificates
+from oracles import (
+    certificate_to_obj,
+    filtered_sphere_tuples,
+    json_dumps_lines,
+    per_field_read_certificates,
+)
 
 HALF = Fraction(1, 2)
 
@@ -98,10 +102,29 @@ def test_enumerate_five_tuples_matches_the_filtered_oracle():
 def test_enumerate_long_tuples_without_recursion():
     # the walk keeps its own stack, so a length past the interpreter's
     # recursion limit is only as deep as its candidates
-    assert enumerate_sphere_tuples(2, 1500) == []
-    spheres = enumerate_sphere_tuples(3, 40)
+    long = Limits(subset_cap=1500)
+    assert enumerate_sphere_tuples(2, 1500, long) == []
+    spheres = enumerate_sphere_tuples(3, 40, long)
     assert spheres == filtered_sphere_tuples(3, 40)
     assert [t.entries for t in spheres] == [(2,) * 39 + (3,)]  # condition (ii)
+
+
+def test_enumerate_refuses_lengths_above_the_cap(monkeypatch):
+    # A = 2 has one candidate at every length, so only the length cap stops
+    # a walk whose cost grows as the square of the length; no gcd table and
+    # no verdict come before it
+    monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
+    monkeypatch.setattr("brieskorn.certify._verdict", None)
+    with pytest.raises(CapacityError, match="length 100000 exceed the length cap of 24"):
+        enumerate_sphere_tuples(2, 10**5)
+    with pytest.raises(CapacityError, match="length 25 exceed the length cap of 24"):
+        enumerate_sphere_tuples(3, 25)
+
+
+def test_enumerate_at_the_length_cap_matches_the_filtered_oracle():
+    spheres = enumerate_sphere_tuples(3, 24)
+    assert spheres == filtered_sphere_tuples(3, 24)
+    assert [t.entries for t in spheres] == [(2,) * 23 + (3,)]
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -368,6 +391,29 @@ def test_a_tuple_that_is_not_a_sphere_is_rejected_with_its_line_number(tmp_path,
     assert info.value.line_number == 2
 
 
+# chi values that satisfy every arithmetic check of a line, but are not chi_m of its tuple
+FORGED_CHI = {"chi_a": {"num": "1", "den": "8"}, "chi_b": {"num": "1", "den": "8"},
+              "chi_sum": {"num": "-1", "den": "4"}}
+
+
+def test_a_consistent_forged_chi_is_rejected_with_its_line_number(tmp_path):
+    # chi_a + chi_b - 1/2 = chi_sum <= 0 holds, and chi_m of (4, 5, 9, 19) is 407/2642
+    reference = certificate_to_obj(certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0])
+    forged = {**reference, **FORGED_CHI}
+    NonBrieskornCertificate(sigma_m_tuple(4), sigma_m_tuple(4), Fraction(1, 8), Fraction(1, 8),
+                            Fraction(-1, 4), boundary=False)  # a valid certificate object
+    path = tmp_path / "forged.jsonl"
+    path.write_text(_lines(reference, forged, reference))
+    with pytest.raises(CertificateFormatError, match=r"line 2: chi_a 1/8 is not chi_m "
+                       r"407/2642 of \(4, 5, 9, 19\)") as info:
+        read_certificates(path)
+    assert info.value.line_number == 2
+    path.write_text(_lines(reference, {**reference, "chi_b": FORGED_CHI["chi_b"],
+                                       "chi_sum": {"num": "-2335", "den": "10568"}}))
+    with pytest.raises(CertificateFormatError, match="line 2: chi_b 1/8 is not chi_m"):
+        read_certificates(path)
+
+
 # each non-canonical integer text, in a field where its value would be valid
 NON_CANONICAL_INTEGERS = {
     "spaced": (["tuple_a", 0], " 4 "),
@@ -381,10 +427,9 @@ NON_CANONICAL_INTEGERS = {
 
 @pytest.mark.parametrize("form", NON_CANONICAL_INTEGERS)
 def test_a_non_canonical_integer_is_rejected_with_its_line_number(tmp_path, form):
-    t = make_tuple([2, 2, 2, 3])
-    quarter = Fraction(1, 4)
-    boundary = certificate_to_obj(NonBrieskornCertificate(t, t, quarter, quarter, Fraction(0),
-                                                          boundary=True))
+    # chi_m is 17/47 for (4, 7, 12, 19) and 13/94 for (7, 11, 12, 18): a sum of 0
+    pair = certify_non_brieskorn_pairs([make_tuple([4, 7, 12, 19]), make_tuple([7, 11, 12, 18])])
+    boundary = certificate_to_obj(next(c for c in pair if c.boundary))
     reference = certificate_to_obj(certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0])
     field, text = NON_CANONICAL_INTEGERS[form]
     base = boundary if form == "minus_zero" else reference
@@ -498,20 +543,39 @@ def certificate_lists(draw):
 
 
 def _write_and_read(certs):
+    # the digest, the bytes, and what the reader and its per-field oracle make of them
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "certs.jsonl"
         digest = write_certificates(certs, path)
         data = path.read_bytes()
-        return digest, data, read_certificates(path)
+        return digest, data, _outcome(read_certificates, path), _outcome(
+            per_field_read_certificates, path)
 
 
 @settings(max_examples=200, deadline=None)
 @given(certificate_lists())
 def test_writer_matches_json_dumps(certs):
-    digest, data, back = _write_and_read(certs)
+    # the chi values are drawn, not derived from the tuples, so the reader
+    # refuses almost every such file; it must do so as the oracle does
+    digest, data, back, oracle = _write_and_read(certs)
     assert data.decode("utf-8") == json_dumps_lines(certs)
     assert digest == hashlib.sha256(data).hexdigest()
-    assert back == certs
+    assert back == oracle
+    if back[0] == "accepted":
+        assert back[1] == certs
+
+
+# the certificates of every sphere pair at A = 12: each tuple has its own chi_m
+SEARCH_CERTIFICATES = certify_non_brieskorn_pairs(enumerate_sphere_tuples(12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(SEARCH_CERTIFICATES), max_size=12))
+def test_written_search_certificates_read_back(certs):
+    # tuples and chi values repeat across lines, in any order, and hit the reader's caches
+    digest, data, back, oracle = _write_and_read(certs)
+    assert data.decode("utf-8") == json_dumps_lines(certs)
+    assert back == oracle == ("accepted", certs)
 
 
 def test_writer_keys_sides_by_tuple_and_chi():
@@ -521,9 +585,11 @@ def test_writer_keys_sides_by_tuple_and_chi():
         NonBrieskornCertificate(t, t, Fraction(1, 4), Fraction(1, 4), Fraction(0), True),
         NonBrieskornCertificate(t, t, Fraction(1, 8), Fraction(-1, 3), Fraction(-17, 24), False),
     ]
-    digest, data, back = _write_and_read(certs)
+    digest, data, back, oracle = _write_and_read(certs)
     assert data.decode("utf-8") == json_dumps_lines(certs)
-    assert back == certs
+    # chi_m of (4, 5, 9, 19) is 407/2642, so the reader refuses the first line
+    assert back == oracle == ("rejected", (
+        "line 1: chi_a 1/8 is not chi_m 407/2642 of (4, 5, 9, 19)", 1))
 
 
 OFF_BY_ONE = st.sampled_from([-1, 0, 1])
@@ -656,6 +722,8 @@ def _reader_cases():
         "non_string_conclusion": _lines(_with(a, ["conclusion"], 5)),
         "two_faults": _lines(_with(_with(a, ["dimension"], 4), ["tuple_b", 0], "x")),
         "non_sphere_tuple": _lines(a, _with(a, ["tuple_b"], ["2", "2", "2", "2"])),
+        "forged_chi": _lines(a, {**a, **FORGED_CHI}),
+        "long_sphere_tuple": _lines(_with(a, ["tuple_b"], ["4", "5", "9", "19", "23"])),
         "non_sphere_before_bad_entry": _lines(
             _with(_with(a, ["tuple_a"], ["2", "4", "6", "12"]), ["tuple_b", 0], "x")),
     }
@@ -671,6 +739,7 @@ READER_CASES = [
     "float_entry_after_number_line",
     "float_entry_after_string_line",
     "float_num_after_number_fraction",
+    "forged_chi",
     "fraction_extra_key",
     "fraction_list_value",
     "fraction_not_object",
@@ -678,6 +747,7 @@ READER_CASES = [
     "hex_entry",
     "invalid_json",
     "list_entry",
+    "long_sphere_tuple",
     "missing_field",
     "missing_fields_all",
     "negative_den",

@@ -3,12 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import jsonschema
 import pytest
 
-import brieskorn.certify
-import brieskorn.cli
 import brieskorn.topology
 from brieskorn.certify import (
     certify_non_brieskorn_pairs,
@@ -16,8 +15,10 @@ from brieskorn.certify import (
     read_certificates,
 )
 from brieskorn.cli import main
+from brieskorn.topology import ExponentTuple
 from brieskorn.verify import CheckResult, SuiteResult
 from envelope_schema import ENVELOPE_SCHEMA, FRACTION_SCHEMA
+from oracles import json_dumps_lines, set_criterion
 from verify_faults import replace_everywhere
 
 
@@ -49,6 +50,29 @@ def test_criterion_not_sphere(capsys):
     code, env, _ = run_json(capsys, "criterion", "2", "2", "2", "2")
     assert code == 0
     assert env["result"]["verdict"] == "NOT_SPHERE"
+
+
+CRITERION_TUPLES = [
+    *combinations_with_replacement(range(2, 10), 4), (2, 3, 5), (6, 10, 15, 7, 11),
+]
+
+
+def test_criterion_json_matches_the_set_oracle(capsys):
+    # every sorted 4-tuple over [2, 9], a 3-tuple and a 5-tuple: the graph
+    # the envelope reports is the one the set-based oracle builds
+    for t in CRITERION_TUPLES:
+        code, env, _ = run_json(capsys, "criterion", *map(str, t))
+        assert code == 0
+        oracle = set_criterion(ExponentTuple(t))
+        result = env["result"]
+        assert result["verdict"] == oracle.kind.value, t
+        assert result["components"] == [sorted(c) for c in oracle.components], t
+        assert result["isolated_points"] == list(oracle.isolated_points), t
+        assert result["even_component"] == {
+            "indices": sorted(oracle.even_component),
+            "size": len(oracle.even_component),
+            "pairwise_gcd2": oracle.even_component_pairwise_gcd2,
+        }, t
 
 
 def test_criterion_comma_form(capsys):
@@ -231,33 +255,25 @@ def test_search_includes_reference_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("to_file", [True, False])
-def test_search_builds_each_certificate_object_once(tmp_path, capsys, monkeypatch, to_file):
-    honest, calls = brieskorn.certify.certificate_to_obj, []
-
-    def counted(cert):
-        calls.append(cert)
-        return honest(cert)
-
-    monkeypatch.setattr(brieskorn.certify, "certificate_to_obj", counted)
-    monkeypatch.setattr(brieskorn.cli, "certificate_to_obj", counted)
+def test_search_builds_each_certificate_object_once(tmp_path, capsys, to_file):
+    # a file and the envelope's list come from the one line writer, each line
+    # formatted once; both must be the oracle's `json.dumps` of every certificate
     out_path = tmp_path / "certs.jsonl"
     argv = ["search", "--max-exponent", "8"] + (["--out", str(out_path)] if to_file else [])
     code, env, _ = run_json(capsys, *argv)
     assert code == 0
+    expected = certify_non_brieskorn_pairs(enumerate_sphere_tuples(8))
+    assert env["result"]["certificates"] == len(expected) > 0
     if to_file:
-        # the file is written from fragments and the envelope names it by digest
-        assert calls == []
+        # the envelope names the file by digest
         assert "certificate_list" not in env["result"]
         data = out_path.read_bytes()
+        assert data.decode("utf-8") == json_dumps_lines(expected)
         assert env["result"]["sha256"] == hashlib.sha256(data).hexdigest()
-        expected = certify_non_brieskorn_pairs(enumerate_sphere_tuples(8))
-        assert [json.loads(line) for line in data.splitlines()] == [
-            honest(c) for c in expected
-        ]
-        assert env["result"]["certificates"] == len(expected) > 0
     else:
-        listed = env["result"]["certificate_list"]
-        assert len(calls) == len(listed) == env["result"]["certificates"] > 0
+        assert env["result"]["certificate_list"] == [
+            json.loads(line) for line in json_dumps_lines(expected).splitlines()
+        ]
 
 
 def test_search_envelope_with_a_file_stays_small(tmp_path, capsys):

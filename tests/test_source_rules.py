@@ -229,3 +229,51 @@ def test_package_imports_only_the_standard_library():
         for line in non_stdlib_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# the private names one module may import from another: the table-level
+# seams that let a caller build one subset lattice or one set of masks and
+# read several quantities from it
+PRIVATE_SEAMS = frozenset({"_verdict", "_mean_euler", "_chi_s1"})
+
+
+def private_imports(source: str, package: str = "brieskorn") -> list[int]:
+    """Lines of a `from` import out of the package (relative, or naming
+    `package`) that brings in a private name other than the seams."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not (node.level or (node.module or "").partition(".")[0] == package):
+            continue
+        if any(alias.name.startswith("_") and alias.name not in PRIVATE_SEAMS
+               for alias in node.names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from .topology import ExponentTuple, _verdict", []),
+        ("from .reeb import _mean_euler\nfrom .topology import _chi_s1", []),
+        ("from __future__ import annotations\nfrom os import _exit", []),
+        ("from .certify import _certificate_lines", [1]),
+        ("import math\nfrom .topology import (\n    ExponentTuple,\n    _adjacency,\n)", [2]),
+        ("from brieskorn.certify import _parse_tuple", [1]),
+        ("from ..brieskorn import _x", [1]),
+    ],
+)
+def test_private_import_rule(source, lines):
+    assert private_imports(source) == lines
+
+
+def test_package_modules_import_only_public_names_and_seams():
+    # another module's private helper is an implementation detail; only the
+    # listed seams may cross a module boundary
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in private_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
@@ -12,17 +12,15 @@ from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.topology import (
     ExponentTuple,
     SphereKind,
-    build_graph,
     chi_s1,
     evaluate_criterion,
-    invariant_subtuples,
     kappa,
     make_tuple,
     noncoprime_pair,
     pairwise_coprime,
     subset_lattice,
 )
-from oracles import alternating_kappa, brieskorn_pham_kappa, set_criterion, set_graph
+from oracles import alternating_kappa, brieskorn_pham_kappa, set_criterion
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=6
@@ -90,37 +88,36 @@ def test_subtuple_index_out_of_range():
 
 
 def test_graph_coprime_tuple_has_no_edges():
-    g = build_graph(make_tuple([4, 5, 9, 19]))
-    assert g.edges == ()
+    g = evaluate_criterion(make_tuple([4, 5, 9, 19]))
+    assert g.components == tuple(frozenset({i}) for i in range(4))
     assert g.isolated_points == (0, 1, 2, 3)
-    assert len(g.components) == 4
     assert g.even_component == frozenset({0})  # the single even entry
+    assert g.even_component_size == 1
 
 
 def test_graph_all_even_is_complete():
-    g = build_graph(make_tuple([2, 2, 2, 2]))
-    assert len(g.edges) == 6
+    g = evaluate_criterion(make_tuple([2, 2, 2, 2]))
     assert g.components == (frozenset({0, 1, 2, 3}),)
     assert g.even_component == frozenset({0, 1, 2, 3})
     assert g.isolated_points == ()
 
 
 def test_graph_even_chain():
-    g = build_graph(make_tuple([2, 4, 6, 12]))
+    g = evaluate_criterion(make_tuple([2, 4, 6, 12]))
     assert g.isolated_points == ()
     assert g.even_component == frozenset({0, 1, 2, 3})
 
 
 def test_graph_impure_even_component_is_dropped():
     # 6 links the evens to the odd 3, so no component consists of evens only
-    g = build_graph(make_tuple([2, 6, 3, 7]))
+    g = evaluate_criterion(make_tuple([2, 6, 3, 7]))
     assert g.even_component == frozenset()
     assert frozenset({0, 1, 2}) in g.components
 
 
 def test_components_partition_vertices():
     for entries in [(2, 3, 5), (2, 4, 9, 27), (6, 10, 15, 7, 11)]:
-        g = build_graph(make_tuple(entries))
+        g = evaluate_criterion(make_tuple(entries))
         seen = sorted(i for c in g.components for i in c)
         assert seen == list(range(len(entries)))
 
@@ -128,15 +125,13 @@ def test_components_partition_vertices():
 def test_mask_graph_and_criterion_match_the_set_oracle_on_small_4_tuples():
     for entries in combinations_with_replacement(range(2, 21), 4):
         t = ExponentTuple(entries)
-        assert build_graph(t) == set_graph(t), entries
         assert evaluate_criterion(t) == set_criterion(t), entries
 
 
 @given(st.lists(st.integers(min_value=2, max_value=60), min_size=3, max_size=9))
 def test_mask_graph_and_criterion_match_the_set_oracle(entries):
-    # every field: edges, components, even component, isolated points and the verdict
+    # every field: components, even component, isolated points and the verdict
     t = ExponentTuple(tuple(entries))
-    assert build_graph(t) == set_graph(t)
     assert evaluate_criterion(t) == set_criterion(t)
 
 
@@ -274,26 +269,9 @@ def test_chi_s1_of_pairs_is_gcd():
 # -------------------------------------------------------- subtuples
 
 
-def test_invariant_subtuples_counts():
-    t = make_tuple([4, 5, 9, 19])
-    assert len(invariant_subtuples(t, 3)) == 5  # four triples + full tuple
-    assert len(invariant_subtuples(make_tuple([2, 3, 5]), 2)) == 4
-    full = invariant_subtuples(t, 4)
-    assert full == [((0, 1, 2, 3), t)]
-
-
-def test_invariant_subtuples_order_is_deterministic():
-    t = make_tuple([2, 3, 5, 7])
-    indices = [idx for idx, _ in invariant_subtuples(t, 2)]
-    assert indices == sorted(indices, key=lambda i: (len(i), i))
-
-
-def test_invariant_subtuples_validates_min_length():
-    t = make_tuple([2, 3, 5])
-    with pytest.raises(InvalidInputError):
-        invariant_subtuples(t, 1)
-    with pytest.raises(InvalidInputError):
-        invariant_subtuples(t, 4)
+def _index_sets(length, min_size):
+    # every set of at least `min_size` entry positions, smallest sets first
+    return [idx for size in range(min_size, length + 1) for idx in combinations(range(length), size)]
 
 
 def test_pairwise_coprime_detection():
@@ -307,8 +285,8 @@ def test_coprime_subtuples_are_rational_homology_spheres():
     for entries in [(2, 3, 5, 7), (4, 5, 9, 19), (3, 7, 8, 11, 13)]:
         t = make_tuple(entries)
         assert pairwise_coprime(t)
-        for _, b in invariant_subtuples(t, 3):
-            assert kappa(b) == 0
+        for indices in _index_sets(t.length, 3):
+            assert kappa(t.subtuple(indices)) == 0
 
 
 # ---------------------------------------------- subtuple positivity
@@ -318,10 +296,9 @@ def test_subtuple_positivity_reference_tuple():
     # verify-paper item 7 reads these from the one table of each sphere
     t = make_tuple([4, 5, 9, 19])
     kap = subset_lattice(t, DEFAULT_LIMITS)[2]
-    triples = [idx for idx, _ in invariant_subtuples(t, 3) if len(idx) == 3]
-    assert len(triples) == 4
+    triples = list(combinations(range(4), 3))
     assert all(kap[sum(1 << i for i in idx)] == 0 for idx in triples)
-    assert all(chi_s1(b) > 0 for _, b in invariant_subtuples(t, 2))
+    assert all(chi_s1(t.subtuple(idx)) > 0 for idx in _index_sets(4, 2))
 
 
 def test_subtuple_positivity_all_small_spheres():
@@ -331,9 +308,9 @@ def test_subtuple_positivity_all_small_spheres():
         if not evaluate_criterion(t).is_sphere:
             continue
         kap = subset_lattice(t, DEFAULT_LIMITS)[2]
-        for indices, b in invariant_subtuples(t, 2):
+        for indices in _index_sets(4, 2):
             k, n = kap[sum(1 << i for i in indices)], len(indices) - 1
-            assert k == alternating_kappa(b.entries), (entries, indices)
+            assert k == alternating_kappa(t.subtuple(indices).entries), (entries, indices)
             if len(indices) == 3:
                 assert k == 0, (entries, indices)
             assert n + (-1) ** (n - 1) * k > 0, (entries, indices)
