@@ -10,7 +10,6 @@ arithmetic.
 from .certify import (
     CONCLUSION,
     DistinctnessClass,
-    DistinctnessPartition,
     NonBrieskornCertificate,
     certificate_lines,
     certify_non_brieskorn_pairs,
@@ -18,6 +17,7 @@ from .certify import (
     enumerate_sphere_tuples,
     iter_certificates,
     read_certificates,
+    sphere_chi,
     write_certificates,
 )
 from .errors import (

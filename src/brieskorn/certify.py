@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -53,12 +53,19 @@ class NonBrieskornCertificate:
 
     def __post_init__(self):
         # Explicit raises, not asserts: certificates read back from a file
-        # must be checked under `python -O` too.
+        # must be checked under `python -O` too. This is the one check of the
+        # fields; the reader passes them through as it parsed them.
         for side, t in (("tuple_a", self.tuple_a), ("tuple_b", self.tuple_b)):
             if t.length != 4:
                 raise InvalidInputError(
                     f"{side} has {t.length} entries, but a 5-dimensional sphere needs 4"
                 )
+        # The writer emits these two as fixed text, so only the int 5 and a
+        # bool may be stored.
+        if type(self.dimension) is not int or self.dimension != 5:
+            raise InvalidInputError(f"dimension must be 5, got {self.dimension!r}")
+        if type(self.boundary) is not bool:
+            raise InvalidInputError(f"boundary must be a boolean, got {self.boundary!r}")
         if self.conclusion != CONCLUSION:
             raise InvalidInputError(
                 f"conclusion must be {CONCLUSION!r}, got {self.conclusion!r}"
@@ -86,12 +93,28 @@ class NonBrieskornCertificate:
             raise InvalidInputError(
                 f"boundary is {self.boundary} but chi_sum is {self.chi_sum}"
             )
-        # The writer emits these two as fixed text, so only a bool and the
-        # int 5 may be stored.
-        if type(self.boundary) is not bool:
-            raise InvalidInputError(f"boundary must be a boolean, got {self.boundary!r}")
-        if type(self.dimension) is not int or self.dimension != 5:
-            raise InvalidInputError(f"dimension must be 5, got {self.dimension!r}")
+
+
+def sphere_chi(t: ExponentTuple, what: str, limits: Limits = DEFAULT_LIMITS) -> Fraction:
+    """chi_m of `t`, checked to be a summand a certificate may have.
+
+    A certificate rests on chi_m > 0 for every 5-dimensional Brieskorn
+    sphere, so a summand must have 4 entries, be a sphere by the criterion
+    and have a defined chi_m. The length comes first, so a long tuple never
+    reaches the criterion or the lattice cap. Raises `PreconditionError`
+    naming `t` as `what`.
+    """
+    if t.length != 4:
+        raise PreconditionError(
+            f"{what} has {t.length} entries, but a 5-dimensional sphere needs 4"
+        )
+    verdict = evaluate_criterion(t)
+    if not verdict.is_sphere:
+        raise PreconditionError(f"{what} {t} is not a sphere tuple ({verdict.kind.value})")
+    chi_m = mean_euler(t, limits).value
+    if chi_m is None:
+        raise PreconditionError(f"{what} {t} has no chi_m (total index 0)")
+    return chi_m
 
 
 def enumerate_sphere_tuples(
@@ -163,26 +186,16 @@ def certify_non_brieskorn_pairs(
     """Certificates for every unordered pair (self-pairs included) whose
     connected-sum value is <= 0.
 
-    Inputs must be sphere 4-tuples with defined mean Euler characteristic;
-    they are canonicalized, so permuted duplicates collapse to one tuple.
+    Inputs must pass `sphere_chi`; they are canonicalized, so permuted
+    duplicates collapse to one tuple.
     """
     rows: list[tuple[ExponentTuple, Fraction]] = []
     seen: set[tuple[int, ...]] = set()
-    for t in tuples:
-        if t.length != 4:
-            raise PreconditionError(f"certificates need 4-tuples, got {t} of length {t.length}")
-        if not evaluate_criterion(t).is_sphere:
-            raise PreconditionError(f"{t} is not a sphere tuple")
+    for i, t in enumerate(tuples):
         c = t.canonical()
-        if c.entries in seen:
-            continue
-        seen.add(c.entries)
-        report = mean_euler(c, limits)
-        if not report.defined:
-            raise PreconditionError(
-                f"mean Euler characteristic of {c} is undefined (total index 0)"
-            )
-        rows.append((c, report.value))
+        if c.entries not in seen:
+            seen.add(c.entries)
+            rows.append((c, sphere_chi(c, f"tuples[{i}]", limits)))
 
     certificates = []
     for i, (a, chi_a) in enumerate(rows):
@@ -210,25 +223,15 @@ class DistinctnessClass:
     inconclusive: bool
 
 
-@dataclass(frozen=True)
-class DistinctnessPartition:
-    """Certificates grouped by their exact connected-sum value.
+def distinctness_classes(
+    certificates: Iterable[NonBrieskornCertificate],
+) -> tuple[DistinctnessClass, ...]:
+    """Certificates grouped by their exact connected-sum value, in value order.
 
     Distinct values certify pairwise non-contactomorphic sums. A class
     holding several different pairs with one value is flagged inconclusive:
     equality of the invariant decides nothing.
     """
-
-    classes: tuple[DistinctnessClass, ...] = field(default=())
-
-    @property
-    def values(self) -> list[Fraction]:
-        return [c.chi_sum for c in self.classes]
-
-
-def distinctness_classes(
-    certificates: Iterable[NonBrieskornCertificate],
-) -> DistinctnessPartition:
     groups: dict[Fraction, list[NonBrieskornCertificate]] = {}
     for cert in certificates:
         groups.setdefault(cert.chi_sum, []).append(cert)
@@ -237,7 +240,7 @@ def distinctness_classes(
         members = groups[value]
         pairs = {(c.tuple_a.entries, c.tuple_b.entries) for c in members}
         classes.append(DistinctnessClass(value, tuple(members), len(pairs) > 1))
-    return DistinctnessPartition(tuple(classes))
+    return tuple(classes)
 
 
 _REQUIRED_FIELDS = (
@@ -336,16 +339,7 @@ def _parse_side(entries, chi_obj, side: str, cache: dict) -> tuple[ExponentTuple
         pass
     what = f"tuple_{side}"
     t = ExponentTuple(tuple(parse_int(e, f"{what} entry") for e in entries))
-    if t.length != 4:
-        raise InvalidInputError(
-            f"{what} has {t.length} entries, but a 5-dimensional sphere needs 4"
-        )
-    kind = evaluate_criterion(t).kind
-    if kind not in SPHERE_KINDS:
-        raise InvalidInputError(f"{what} {t} is not a sphere tuple ({kind.value})")
-    chi_m = mean_euler(t).value
-    if chi_m is None:
-        raise InvalidInputError(f"{what} {t} has no chi_m (total index 0)")
+    chi_m = sphere_chi(t, what)
     # a line whose chi values add up is still forged unless they are its tuples' chi_m
     chi = parse_fraction(chi_obj, f"chi_{side}")
     if chi != chi_m:
@@ -364,12 +358,7 @@ def _certificate_from_obj(obj: dict, sides: dict) -> NonBrieskornCertificate:
             raise InvalidInputError(f"{side} must be a list of decimal strings")
     tuple_a, chi_a = _parse_side(obj["tuple_a"], obj["chi_a"], "a", sides)
     tuple_b, chi_b = _parse_side(obj["tuple_b"], obj["chi_b"], "b", sides)
-    if obj["dimension"] != 5:
-        raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
-    if not isinstance(obj["boundary"], bool):
-        raise InvalidInputError(f"boundary must be a boolean, got {obj['boundary']!r}")
-    if not isinstance(obj["conclusion"], str):
-        raise InvalidInputError("conclusion must be a string")
+    # the constructor checks dimension, boundary and conclusion
     return NonBrieskornCertificate(
         tuple_a=tuple_a,
         tuple_b=tuple_b,
@@ -378,6 +367,7 @@ def _certificate_from_obj(obj: dict, sides: dict) -> NonBrieskornCertificate:
         # nearly every line has its own chi_sum, so caching it would only grow
         chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
         boundary=obj["boundary"],
+        dimension=obj["dimension"],
         conclusion=obj["conclusion"],
     )
 

@@ -16,12 +16,13 @@ from .certify import (
     certificate_lines,
     certify_non_brieskorn_pairs,
     enumerate_sphere_tuples,
+    sphere_chi,
     write_certificates,
 )
 from .errors import BrieskornError, CapacityError, InvalidInputError
 from .families import closed_form_checks, fermat_asymptotics_report, sigma_family_rows
 from .limits import Limits, limits_from_env
-from .reeb import _mean_euler, connected_sum_chi, mean_euler
+from .reeb import _mean_euler, connected_sum_chi
 from .serialize import fraction_obj, parse_int, tuple_obj
 from .topology import ExponentTuple, _chi_s1, evaluate_criterion, subset_lattice
 from .verify import run_reproduction_suite
@@ -177,20 +178,8 @@ def _cmd_sum(args) -> int:
     tuples = [_parse_tuple_tokens(g) for g in groups if g]
     if not tuples:
         raise InvalidInputError("no tuples given")
-    for t in tuples:
-        if t.length != 4:
-            raise InvalidInputError(
-                f"connected sums are computed in dimension 5 (4-tuples); got {t} "
-                f"of length {t.length}"
-            )
-    values = []
-    for t in tuples:
-        report = mean_euler(t, limits)
-        if not report.defined:
-            raise InvalidInputError(
-                f"mean Euler characteristic of {t} is undefined (total index 0)"
-            )
-        values.append(report.value)
+    # positivity, which a certificate needs, holds for spheres only
+    values = [sphere_chi(t, f"summand {i}", limits) for i, t in enumerate(tuples)]
     total = connected_sum_chi(values, n=3)
     certified = total <= 0
 

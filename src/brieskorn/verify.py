@@ -151,13 +151,13 @@ def _item_3_connected_sum_certificates(limits: Limits, ctx: dict) -> tuple[bool,
         and m4 is not None
         and m4.chi_sum == target
         and m4.chi_sum < 0
-        and len(classes.classes) == len(ms)
-        and not any(cls.inconclusive for cls in classes.classes)
+        and len(classes) == len(ms)
+        and not any(cls.inconclusive for cls in classes)
     )
     got = m4.chi_sum if m4 else None
     return ok, (
         f"self-sum at m=4 is {got}; {len(self_certs)} self-certificates in "
-        f"{len(classes.classes)} distinct classes"
+        f"{len(classes)} distinct classes"
     )
 
 

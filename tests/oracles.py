@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from brieskorn.certify import NonBrieskornCertificate
+from brieskorn.certify import CONCLUSION, NonBrieskornCertificate
 from brieskorn.errors import (
     BrieskornError,
     CertificateFormatError,
@@ -232,19 +232,21 @@ def _per_field_certificate(obj):
         chi = chis[side] = parse_fraction(obj[f"chi_{side}"], f"chi_{side}")
         if chi != chi_m:
             raise InvalidInputError(f"chi_{side} {chi} is not chi_m {chi_m} of {t}")
-    if obj["dimension"] != 5:
+    chi_sum = parse_fraction(obj["chi_sum"], "chi_sum")
+    if type(obj["dimension"]) is not int or obj["dimension"] != 5:
         raise InvalidInputError(f"dimension must be 5, got {obj['dimension']!r}")
-    if not isinstance(obj["boundary"], bool):
+    if type(obj["boundary"]) is not bool:
         raise InvalidInputError(f"boundary must be a boolean, got {obj['boundary']!r}")
-    if not isinstance(obj["conclusion"], str):
-        raise InvalidInputError("conclusion must be a string")
+    if obj["conclusion"] != CONCLUSION:
+        raise InvalidInputError(f"conclusion must be {CONCLUSION!r}, got {obj['conclusion']!r}")
     return NonBrieskornCertificate(
         tuple_a=tuples["a"],
         tuple_b=tuples["b"],
         chi_a=chis["a"],
         chi_b=chis["b"],
-        chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
+        chi_sum=chi_sum,
         boundary=obj["boundary"],
+        dimension=obj["dimension"],
         conclusion=obj["conclusion"],
     )
 

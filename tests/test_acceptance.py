@@ -101,7 +101,7 @@ def test_criterion_03_connected_sum_certificates():
     self_sum = connected_sum_chi([chi4, chi4], 3)
     certs = certify_non_brieskorn_pairs([sigma_m_tuple(m) for m in (4, 5, 7, 8, 10)])
     self_certs = [c for c in certs if c.tuple_a == c.tuple_b]
-    partition = distinctness_classes(self_certs)
+    classes = distinctness_classes(self_certs)
     m4 = [c for c in self_certs if c.tuple_a.entries == (4, 5, 9, 19)]
     ok = (
         self_sum == Fraction(-507, 2642)
@@ -109,13 +109,13 @@ def test_criterion_03_connected_sum_certificates():
         and len(m4) == 1
         and m4[0].chi_sum == Fraction(-507, 2642)
         and len(self_certs) == 5
-        and len(partition.classes) == 5
+        and len(classes) == 5
     )
     report(
         3,
         "self-sum certificate -507/2642 and 5 pairwise distinct classes",
         ok,
-        f"self_sum={self_sum}, classes={len(partition.classes)}",
+        f"self_sum={self_sum}, classes={len(classes)}",
     )
 
 

@@ -27,6 +27,7 @@ from brieskorn.certify import (
     enumerate_sphere_tuples,
     iter_certificates,
     read_certificates,
+    sphere_chi,
     write_certificates,
 )
 from brieskorn.errors import (
@@ -206,6 +207,30 @@ def test_certify_rejects_non_sphere():
         certify_non_brieskorn_pairs([make_tuple([2, 2, 2, 2])])
 
 
+def test_sphere_chi_checks_length_then_verdict_then_chi_m(monkeypatch):
+    assert sphere_chi(make_tuple([4, 5, 9, 19]), "t") == Fraction(407, 2642)
+    with pytest.raises(PreconditionError, match=r"^t \(2, 3, 8, 8\) is not a sphere tuple "
+                       r"\(NOT_SPHERE\)$"):
+        sphere_chi(make_tuple([2, 3, 8, 8]), "t")
+    # a long tuple is refused before the criterion or the lattice sees it
+    monkeypatch.setattr("brieskorn.certify.evaluate_criterion", None)
+    monkeypatch.setattr("brieskorn.certify.mean_euler", None)
+    with pytest.raises(PreconditionError,
+                       match="^t has 30 entries, but a 5-dimensional sphere needs 4$"):
+        sphere_chi(make_tuple([4] * 30), "t")
+
+
+def test_pair_search_refuses_a_summand_with_undefined_chi_m(monkeypatch):
+    # no sphere has total index 0 (each has an isolated exponent), so stub chi_m
+    monkeypatch.setattr(
+        "brieskorn.certify.mean_euler",
+        lambda t, limits: SimpleNamespace(defined=False, value=None),
+    )
+    with pytest.raises(PreconditionError,
+                       match=r"^tuples\[0\] \(4, 5, 9, 19\) has no chi_m \(total index 0\)$"):
+        certify_non_brieskorn_pairs([make_tuple([19, 9, 5, 4])])
+
+
 def test_certificate_completeness_small_scan():
     # independent quadratic re-scan: nothing below the threshold is missed
     spheres = enumerate_sphere_tuples(12)
@@ -230,17 +255,18 @@ def test_distinctness_of_family_self_sums():
     tuples = [sigma_m_tuple(m) for m in (4, 5, 7, 8)]
     certs = certify_non_brieskorn_pairs(tuples)
     self_certs = [c for c in certs if c.tuple_a == c.tuple_b]
-    partition = distinctness_classes(self_certs)
-    assert len(partition.classes) == 4
-    assert not any(cls.inconclusive for cls in partition.classes)
-    assert partition.values == sorted(partition.values)
+    classes = distinctness_classes(self_certs)
+    assert len(classes) == 4
+    assert not any(cls.inconclusive for cls in classes)
+    values = [cls.chi_sum for cls in classes]
+    assert values == sorted(values)
 
 
 def test_distinctness_merges_identical_certificates():
     cert = certify_non_brieskorn_pairs([sigma_m_tuple(4)])[0]
-    partition = distinctness_classes([cert, cert])
-    assert len(partition.classes) == 1
-    assert not partition.classes[0].inconclusive
+    classes = distinctness_classes([cert, cert])
+    assert len(classes) == 1
+    assert not classes[0].inconclusive
 
 
 def test_distinctness_flags_equal_values_from_different_pairs():
@@ -260,9 +286,9 @@ def test_distinctness_flags_equal_values_from_different_pairs():
         chi_sum=Fraction(-1, 4),
         boundary=False,
     )
-    partition = distinctness_classes([a, b])
-    assert len(partition.classes) == 1
-    assert partition.classes[0].inconclusive
+    classes = distinctness_classes([a, b])
+    assert len(classes) == 1
+    assert classes[0].inconclusive
 
 
 # ------------------------------------------------------- persistence
@@ -718,6 +744,7 @@ def _reader_cases():
         "wrong_dimension": _lines(a, _with(a, ["dimension"], 7)),
         "string_dimension": _lines(_with(a, ["dimension"], "5")),
         "float_dimension": _lines(_with(a, ["dimension"], 5.0), a),
+        "exponent_dimension": _lines(a).replace('"dimension":5,', '"dimension":5e0,') + _lines(a),
         "wrong_conclusion": _lines(a, _with(a, ["conclusion"], "a Brieskorn sphere")),
         "non_string_conclusion": _lines(_with(a, ["conclusion"], 5)),
         "two_faults": _lines(_with(_with(a, ["dimension"], 4), ["tuple_b", 0], "x")),
@@ -735,6 +762,7 @@ READER_CASES = [
     "boolean_den",
     "boolean_entry",
     "decimal_num",
+    "exponent_dimension",
     "float_dimension",
     "float_entry_after_number_line",
     "float_entry_after_string_line",

@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -175,13 +176,50 @@ def test_sum_single_tuple(capsys):
 def test_sum_rejects_mismatched_lengths(capsys):
     code, _, err = run(capsys, "sum", "2,3,5", "+", "4,5,9,19")
     assert code == 2
-    assert "length" in err
+    assert "summand 0 has 3 entries, but a 5-dimensional sphere needs 4" in err
 
 
 def test_sum_undefined_invariant_exits_2(capsys):
+    # (2, 4, 6, 12) is refused by the criterion before its undefined chi_m is reached
     code, _, err = run(capsys, "sum", "2,4,6,12", "+", "4,5,9,19")
     assert code == 2
-    assert "undefined" in err
+    assert "summand 0 (2, 4, 6, 12) is not a sphere tuple (NOT_SPHERE)" in err
+
+
+def test_sum_refuses_a_summand_with_undefined_chi_m(capsys, monkeypatch):
+    # no sphere has total index 0 (each has an isolated exponent), so stub chi_m
+    monkeypatch.setattr(
+        "brieskorn.certify.mean_euler",
+        lambda t, limits: SimpleNamespace(defined=False, value=None),
+    )
+    code, out, err = run(capsys, "sum", "4,5,9,19", "+", "4,5,9,19")
+    assert (code, out) == (2, "")
+    assert "summand 0 (4, 5, 9, 19) has no chi_m (total index 0)" in err
+
+
+@pytest.mark.parametrize("argv", [["2,3,8,8"], ["2,3,8,8", "+", "4,5,9,19"]])
+def test_sum_refuses_a_summand_that_is_not_a_sphere(capsys, argv):
+    # Sigma(2, 3, 8, 8) is itself a Brieskorn manifold with chi_m = -1/2, so a
+    # negative sum with it as a summand certifies nothing
+    code, out, err = run(capsys, "sum", *argv)
+    assert (code, out) == (2, "")
+    assert "summand 0 (2, 3, 8, 8) is not a sphere tuple (NOT_SPHERE)" in err
+
+
+def test_sum_certifies_exactly_what_the_pair_search_certifies(capsys):
+    for entries in combinations_with_replacement(range(2, 11), 4):
+        t = ",".join(map(str, entries))
+        code, out, _ = run(capsys, "sum", t, "+", t, "--json")
+        if not set_criterion(ExponentTuple(entries)).is_sphere:
+            assert (code, out) == (2, ""), entries
+            continue
+        assert code == 0, entries
+        result = json.loads(out)["result"]
+        certs = certify_non_brieskorn_pairs([ExponentTuple(entries)])
+        assert result["certified_non_brieskorn"] == bool(certs), entries
+        if certs:
+            assert Fraction(int(result["chi_sum"]["num"]),
+                            int(result["chi_sum"]["den"])) == certs[0].chi_sum, entries
 
 
 # ---------------------------------------------------------------- family

@@ -65,6 +65,8 @@ FAULTS = [
      lambda honest: lambda m: honest(m) + (m == 7)),
     ("connected-sum", 3, (), "brieskorn.reeb.connected_sum_chi",
      lambda honest: lambda values, n: honest(values, n) - Fraction(1, 10**6)),
+    ("summand-chi", 3, (), "brieskorn.certify.sphere_chi",
+     lambda honest: lambda t, what, limits: honest(t, what, limits) + Fraction(1, 10**6)),
     ("derivative-combination", 4, (), "brieskorn.families.derivative_combination",
      lambda honest: lambda: IntPolynomial((honest().coeffs[0] + 1,) + honest().coeffs[1:])),
     ("dominance-margin", 5, (), "brieskorn.exactarith.dominance_margin",
