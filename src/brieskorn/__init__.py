@@ -45,6 +45,7 @@ from .limits import DEFAULT_LIMITS, Limits, limits_from_env
 from .reeb import (
     MeanEulerReport,
     Stratum,
+    chi_m,
     connected_sum_chi,
     frequencies,
     has_isolated_exponent,
@@ -64,6 +65,7 @@ from .topology import (
     make_tuple,
     noncoprime_pair,
     pairwise_coprime,
+    sphere_kind,
 )
 from .verify import CheckResult, SuiteResult, run_reproduction_suite
 

@@ -33,7 +33,7 @@ from .errors import (
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
 from .serialize import parse_fraction, parse_int
-from .topology import SPHERE_KINDS, ExponentTuple, _verdict, evaluate_criterion
+from .topology import SPHERE_KINDS, ExponentTuple, _verdict, sphere_kind
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
 
@@ -108,9 +108,9 @@ def sphere_chi(t: ExponentTuple, what: str, limits: Limits = DEFAULT_LIMITS) -> 
         raise PreconditionError(
             f"{what} has {t.length} entries, but a 5-dimensional sphere needs 4"
         )
-    verdict = evaluate_criterion(t)
-    if not verdict.is_sphere:
-        raise PreconditionError(f"{what} {t} is not a sphere tuple ({verdict.kind.value})")
+    kind = sphere_kind(t)
+    if kind not in SPHERE_KINDS:
+        raise PreconditionError(f"{what} {t} is not a sphere tuple ({kind.value})")
     chi_m = mean_euler(t, limits).value
     if chi_m is None:
         raise PreconditionError(f"{what} {t} has no chi_m (total index 0)")

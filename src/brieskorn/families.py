@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from .exactarith import IntPolynomial
 from .limits import DEFAULT_LIMITS, Limits
-from .reeb import connected_sum_chi, mean_euler, mean_euler_coprime
+from .reeb import chi_m, connected_sum_chi, mean_euler_coprime
 from .topology import ExponentTuple, SphereVerdict, evaluate_criterion, pairwise_coprime
 
 # Closed form numerator/denominator for the (m, m+1, 2m+1, 4m+3) family,
@@ -91,13 +91,11 @@ def sigma_family_rows(
     rows = []
     for m in range(m_low, m_high + 1):
         a = sigma_m_tuple(m)
-        report = mean_euler(a, limits)
+        value = chi_m(a, limits)
         coprime = math.gcd(m, 3) == 1
         closed = sigma_m_closed_form(m) if coprime else None
-        agrees = (report.value == closed) if closed is not None else None
-        rows.append(
-            FamilyRow(m, a, evaluate_criterion(a), coprime, report.value, closed, agrees)
-        )
+        agrees = (value == closed) if closed is not None else None
+        rows.append(FamilyRow(m, a, evaluate_criterion(a), coprime, value, closed, agrees))
     return rows
 
 
@@ -215,11 +213,9 @@ def fermat_asymptotics_report(
     for ell in ells:
         t = fermat_tuple(ell, n, limits)
         chi = mean_euler_coprime(t)
-        general = mean_euler(t, limits)
-        if not (general.defined and general.value == chi):
-            raise BrieskornError(
-                f"general route gives {general.value} for {t}, closed form gives {chi}"
-            )
+        general = chi_m(t, limits)
+        if general != chi:
+            raise BrieskornError(f"general route gives {general} for {t}, closed form gives {chi}")
         x = 2 ** (2**ell)
         signed = sign * chi
         ratio = signed * 2 * x**3

@@ -14,13 +14,17 @@ Per stratum the relevant data are its Robbin-Salamon index
 its equivariant Euler characteristic, and its frequency: the number of
 multiples of T below the top period d that are not multiples of any larger
 period. Periods, frequencies and every kappa are read from one
-`topology.subset_lattice` table; this module only chooses its strata, the
-closed subsets of two or more entries and the whole tuple, and builds them
-in one loop over those rows. A `Stratum` is a named tuple, so it unpacks in
-field order and compares equal to a plain tuple of its values. The mean Euler
-characteristic combines them into one exact rational divided by the total
-index 2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and
-is defined whenever that total index is nonzero.
+`topology.subset_lattice` table; the strata are its closed subsets of two or
+more entries and the whole tuple. The mean Euler characteristic is the sum of
+frequency * chi_S1 over those subsets, with the global sign (-1)^(n+1),
+divided by the absolute total index 2d(sum_j 1/a_j - 1); it is an invariant
+of the contact structure and is defined whenever that total index is
+nonzero. `chi_m` reads that sum straight off the table and builds no
+stratum. `mean_euler` also builds each `Stratum` in one loop over the rows,
+with its Robbin-Salamon index found by division, and cross-checks the
+lattice sum against the sum over its strata with the per-stratum signs. A
+`Stratum` is a named tuple, so it unpacks in field order and compares equal
+to a plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "stratum",
     "total_rs_index",
     "frequencies",
+    "chi_m",
     "mean_euler",
     "mean_euler_coprime",
     "connected_sum_chi",
@@ -150,13 +155,43 @@ def total_rs_index(a: ExponentTuple) -> int:
     return 2 * (sum(d // e for e in a.entries) - d)
 
 
-def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerReport:
-    """Mean Euler characteristic via the stratified formula.
+def _chi_numerator(lattice: tuple[list[int], ...]) -> int:
+    # sum of frequency * chi_S1 over the strata: the top entry with frequency
+    # 1, and every subset of two or more positions with a nonzero frequency
+    _, freq, kap = lattice
+    top = len(kap) - 1
+    total = _chi_s1(top.bit_count(), kap[top])
+    for J in range(top):
+        f = freq[J]
+        if f and J & (J - 1):
+            total += f * _chi_s1(J.bit_count(), kap[J])
+    return total
 
-    The signed sum over strata is evaluated twice, once with the
-    per-stratum signs (-1)^(mu_RS - quotient_dim/2) and once with the global
-    prefactor (-1)^(n+1); the index parity relation makes these agree and
-    the agreement is enforced.
+
+def chi_m(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> Fraction | None:
+    """The mean Euler characteristic of `a`, or None when its total index is
+    0; equal to `mean_euler(a).value`, without building the strata."""
+    # the lattice first: it refuses what is not an ExponentTuple
+    return _chi_m(a, subset_lattice(a, limits))
+
+
+def _chi_m(a: ExponentTuple, lattice: tuple[list[int], ...]) -> Fraction | None:
+    """`chi_m(a)` from the `subset_lattice` table of `a`, for callers that
+    read other entries of that table too."""
+    total = total_rs_index(a)
+    if total == 0:
+        return None
+    return Fraction((-1) ** (a.n + 1) * _chi_numerator(lattice), abs(total))
+
+
+def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerReport:
+    """Mean Euler characteristic with its strata.
+
+    The signed sum is evaluated by two routes: over the lattice with the
+    global prefactor (-1)^(n+1), from each subset's popcount and kappa, and
+    over the strata with the per-stratum signs (-1)^(mu_RS - quotient_dim/2),
+    from their division-derived m_t, chi_S1 and index. The index parity
+    relation makes these agree, and the agreement is enforced.
     """
     # the lattice first: it refuses what is not an ExponentTuple
     return _mean_euler(a, subset_lattice(a, limits))
@@ -168,7 +203,7 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
     strata = _build_strata(a, _strata_rows(lattice))
     total = total_rs_index(a)
 
-    numerator_global = sum([s.frequency * s.chi_s1 for s in strata])
+    numerator_global = _chi_numerator(lattice)
     numerator_stratified = sum([
         (-1) ** ((s.mu_rs - (s.quotient_dim // 2)) % 2) * s.frequency * s.chi_s1
         for s in strata

@@ -243,6 +243,20 @@ def _verdict(
     return kind, isolated, ec, pairwise_gcd2
 
 
+def _criterion_adjacency(a: ExponentTuple) -> list[int]:
+    # the adjacency masks of a tuple the criterion applies to
+    if a.length < 3:
+        raise UnsupportedLengthError(
+            f"the sphere criterion needs at least 3 entries, got {a.length}"
+        )
+    return _adjacency(a.entries)
+
+
+def sphere_kind(a: ExponentTuple) -> SphereKind:
+    """The kind `evaluate_criterion(a)` reports, without the components."""
+    return _verdict(a.entries, _criterion_adjacency(a))[0]
+
+
 def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     """Apply the graph criterion to a tuple of length >= 3.
 
@@ -251,13 +265,10 @@ def evaluate_criterion(a: ExponentTuple) -> SphereVerdict:
     both conditions is reported through its even-component structure.
     Length-3 tuples receive the HOMOLOGY_SPHERE_* kinds: the graph
     conditions there detect an integral homology 3-sphere, not a
-    homeomorphism type.
+    homeomorphism type. A caller that reads only the kind calls
+    `sphere_kind`, which builds no components.
     """
-    if a.length < 3:
-        raise UnsupportedLengthError(
-            f"the sphere criterion needs at least 3 entries, got {a.length}"
-        )
-    adj = _adjacency(a.entries)
+    adj = _criterion_adjacency(a)
     kind, isolated, ec, pairwise_gcd2 = _verdict(a.entries, adj)
     return SphereVerdict(kind, isolated, _components(adj), frozenset(ec), pairwise_gcd2)
 

@@ -213,7 +213,7 @@ def test_sphere_chi_checks_length_then_verdict_then_chi_m(monkeypatch):
                        r"\(NOT_SPHERE\)$"):
         sphere_chi(make_tuple([2, 3, 8, 8]), "t")
     # a long tuple is refused before the criterion or the lattice sees it
-    monkeypatch.setattr("brieskorn.certify.evaluate_criterion", None)
+    monkeypatch.setattr("brieskorn.certify.sphere_kind", None)
     monkeypatch.setattr("brieskorn.certify.mean_euler", None)
     with pytest.raises(PreconditionError,
                        match="^t has 30 entries, but a 5-dimensional sphere needs 4$"):

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import brieskorn.reeb
 from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
+from brieskorn.certify import enumerate_sphere_tuples
 from brieskorn.reeb import (
     Stratum,
+    chi_m,
     connected_sum_chi,
     frequencies,
     has_isolated_exponent,
@@ -94,6 +96,7 @@ def test_lattice_cap_fails_before_allocating():
         "frequencies": lambda: frequencies(t, limits),
         "stratum": lambda: stratum(t, 6, limits),
         "mean_euler": lambda: mean_euler(t, limits),
+        "chi_m": lambda: chi_m(t, limits),
     }
     for name, call in calls.items():
         tracemalloc.start()
@@ -109,8 +112,8 @@ def test_lattice_cap_fails_before_allocating():
 @pytest.mark.parametrize(
     "reader",
     [reeb_periods, frequencies, lambda a: stratum(a, 6), mean_euler,
-     kappa, chi_s1],
-    ids=["reeb_periods", "frequencies", "stratum", "mean_euler", "kappa", "chi_s1"],
+     kappa, chi_s1, chi_m],
+    ids=["reeb_periods", "frequencies", "stratum", "mean_euler", "kappa", "chi_s1", "chi_m"],
 )
 def test_lattice_readers_refuse_a_plain_list(reader):
     # refused before `entries` or `length` is read, in the lattice's words
@@ -291,6 +294,41 @@ def test_mean_euler_matches_per_stratum_route(t):
     report, oracle = mean_euler(t), per_stratum_mean_euler(t)
     for field in fields(report):
         assert getattr(report, field.name) == getattr(oracle, field.name), field.name
+
+
+def test_chi_m_is_the_mean_euler_value_on_every_sphere_with_entries_to_20():
+    # the lattice sum against the strata of mean_euler, which also re-runs
+    # the per-stratum parity and sign checks on each of these spheres
+    spheres = enumerate_sphere_tuples(20)
+    assert len(spheres) == 2830
+    for t in spheres:
+        assert chi_m(t) == mean_euler(t).value, t
+
+
+@given(wide_tuples)
+@settings(max_examples=100)
+def test_chi_m_is_the_mean_euler_value(t):
+    assert chi_m(t) == mean_euler(t).value
+
+
+def test_chi_m_is_none_where_the_total_index_is_zero():
+    t = make_tuple([2, 4, 6, 12])
+    assert chi_m(t) is None
+    assert chi_m(make_tuple([4, 5, 9, 19])) == Fraction(407, 2642)
+
+
+def test_a_stratum_off_the_lattice_fails_sign_coherence(monkeypatch):
+    # one stratum's chi_S1 moved by one: the lattice sum does not see it, so
+    # the two routes of mean_euler disagree
+    honest = brieskorn.reeb._build_strata
+
+    def shifted(a, rows):
+        strata = honest(a, rows)
+        return (strata[0]._replace(chi_s1=strata[0].chi_s1 + 1),) + strata[1:]
+
+    monkeypatch.setattr(brieskorn.reeb, "_build_strata", shifted)
+    with pytest.raises(BrieskornError, match="sign coherence failed for"):
+        mean_euler(make_tuple([4, 5, 9, 19]))
 
 
 @given(wide_tuples)

@@ -234,7 +234,7 @@ def test_package_imports_only_the_standard_library():
 # the private names one module may import from another: the table-level
 # seams that let a caller build one subset lattice or one set of masks and
 # read several quantities from it
-PRIVATE_SEAMS = frozenset({"_verdict", "_mean_euler", "_chi_s1"})
+PRIVATE_SEAMS = frozenset({"_verdict", "_mean_euler", "_chi_m", "_strata_rows", "_chi_s1"})
 
 
 def private_imports(source: str, package: str = "brieskorn") -> list[int]:
@@ -262,6 +262,8 @@ def private_imports(source: str, package: str = "brieskorn") -> list[int]:
         ("import math\nfrom .topology import (\n    ExponentTuple,\n    _adjacency,\n)", [2]),
         ("from brieskorn.certify import _parse_tuple", [1]),
         ("from ..brieskorn import _x", [1]),
+        ("from .reeb import _chi_m", []),
+        ("from .reeb import _strata_rows, chi_m", []),
     ],
 )
 def test_private_import_rule(source, lines):

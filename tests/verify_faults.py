@@ -46,6 +46,18 @@ def _planted_kappa(mask: int, value: int):
     return fault
 
 
+def _negated_at_reference(honest):
+    # the lattice sum of the sphere (4, 5, 9, 19) with its sign flipped
+    def value(a, lattice):
+        out = honest(a, lattice)
+        return -out if a.entries == (4, 5, 9, 19) else out
+    return value
+
+
+def _chi_m_shifted(honest):
+    return lambda a, limits: honest(a, limits) + Fraction(1, 10**6)
+
+
 def _frequency_off_by_one(honest):
     # the first closed subset of two or more positions below the top gets one more multiple
     def lattice(a, limits):
@@ -61,8 +73,10 @@ def _frequency_off_by_one(honest):
 FAULTS = [
     ("closed-form-of-sigma4", 1, (), "brieskorn.reeb.mean_euler_coprime",
      lambda honest: lambda a: honest(a) + 1),
+    ("lattice-chi-m-sigma4", 1, (), "brieskorn.reeb.chi_m", _chi_m_shifted),
     ("closed-form-at-m7", 2, (), "brieskorn.families.sigma_m_closed_form",
      lambda honest: lambda m: honest(m) + (m == 7)),
+    ("lattice-chi-m-family", 2, (), "brieskorn.reeb.chi_m", _chi_m_shifted),
     ("connected-sum", 3, (), "brieskorn.reeb.connected_sum_chi",
      lambda honest: lambda values, n: honest(values, n) - Fraction(1, 10**6)),
     ("summand-chi", 3, (), "brieskorn.certify.sphere_chi",
@@ -75,6 +89,7 @@ FAULTS = [
      _shift_first_stratum("mu_rs")),
     ("triple-kappa", 7, (), "brieskorn.topology.subset_lattice", _planted_kappa(0b0111, 1)),
     ("pair-chi-s1", 7, (), "brieskorn.topology.subset_lattice", _planted_kappa(0b0011, -2)),
+    ("sphere-chi-m-sign", 7, (), "brieskorn.reeb._chi_m", _negated_at_reference),
     ("lattice-frequency", 8, (6, 7), "brieskorn.topology.subset_lattice",
      _frequency_off_by_one),
     ("fermat-number", 9, (), "brieskorn.families.fermat_number",
