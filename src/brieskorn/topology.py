@@ -329,7 +329,7 @@ def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:
 
 def _chi_s1(m: int, k: int) -> int:
     # chi_S1 = n + (-1)^(n-1) kappa for a tuple of m = n + 1 entries
-    return m - 1 + (-1) ** m * k
+    return m - 1 - k if m & 1 else m - 1 + k
 
 
 def chi_s1(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -45,7 +45,7 @@ from .reeb import (
     mean_euler_coprime,
     total_rs_index,
 )
-from .topology import ExponentTuple, SphereKind, _chi_s1, evaluate_criterion, subset_lattice
+from .topology import ExponentTuple, SphereKind, _chi_s1, sphere_kind, subset_lattice
 
 DEFAULT_SEED = 20250707
 
@@ -254,9 +254,9 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 def _item_9_fermat_suite(limits: Limits, ctx: dict) -> tuple[bool, str]:
     fermat_tuple(0, 7, limits)  # raises if the product recursion fails
-    verdict = evaluate_criterion(fermat_tuple(2, 3, limits))
-    if verdict.kind is not SphereKind.SPHERE_BY_I:
-        return False, f"Fermat tuple verdict is {verdict.kind.value}"
+    kind = sphere_kind(fermat_tuple(2, 3, limits))
+    if kind is not SphereKind.SPHERE_BY_I:
+        return False, f"Fermat tuple verdict is {kind.value}"
     report = fermat_asymptotics_report([2, 3, 4], 3, limits)
     ok = report.passed and all(r.self_sum_sign_negative for r in report.rows)
     errs = ", ".join(f"l={r.ell}: |ratio-1|={r.ratio_error.numerator}/{r.ratio_error.denominator}"
