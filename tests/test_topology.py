@@ -126,26 +126,19 @@ def test_components_partition_vertices():
 def test_mask_graph_and_criterion_match_the_set_oracle_on_small_4_tuples():
     for entries in combinations_with_replacement(range(2, 21), 4):
         t = ExponentTuple(entries)
-        assert evaluate_criterion(t) == set_criterion(t), entries
+        oracle = set_criterion(t)
+        assert evaluate_criterion(t) == oracle, entries
+        assert sphere_kind(t) is oracle.kind, entries
 
 
 @given(st.lists(st.integers(min_value=2, max_value=60), min_size=3, max_size=9))
 def test_mask_graph_and_criterion_match_the_set_oracle(entries):
-    # every field: components, even component, isolated points and the verdict
+    # every field: components, even component, isolated points and the
+    # verdict, whose kind `sphere_kind` gives alone
     t = ExponentTuple(tuple(entries))
-    assert evaluate_criterion(t) == set_criterion(t)
-
-
-def test_sphere_kind_is_the_criterion_kind_on_small_4_tuples():
-    for entries in combinations_with_replacement(range(2, 21), 4):
-        t = ExponentTuple(entries)
-        assert sphere_kind(t) is set_criterion(t).kind, entries
-
-
-@given(st.lists(st.integers(min_value=2, max_value=60), min_size=3, max_size=9))
-def test_sphere_kind_is_the_criterion_kind(entries):
-    t = ExponentTuple(tuple(entries))
-    assert sphere_kind(t) is evaluate_criterion(t).kind is set_criterion(t).kind
+    oracle = set_criterion(t)
+    assert evaluate_criterion(t) == oracle
+    assert sphere_kind(t) is oracle.kind
 
 
 # -------------------------------------------------------- criterion
@@ -183,14 +176,10 @@ def test_criterion_length_three_reports_homology_conditions():
 
 
 def test_criterion_rejects_pairs():
-    with pytest.raises(UnsupportedLengthError):
-        evaluate_criterion(make_tuple([2, 3]))
-
-
-def test_sphere_kind_rejects_pairs_in_the_criterion_words():
-    with pytest.raises(UnsupportedLengthError,
-                       match="^the sphere criterion needs at least 3 entries, got 2$"):
-        sphere_kind(make_tuple([2, 3]))
+    for reader in (evaluate_criterion, sphere_kind):
+        with pytest.raises(UnsupportedLengthError,
+                           match="^the sphere criterion needs at least 3 entries, got 2$"):
+            reader(make_tuple([2, 3]))
 
 
 def test_criterion_gcd_must_be_exactly_two():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import random
@@ -13,10 +11,8 @@ import pytest
 
 import brieskorn
 import brieskorn.families
-import brieskorn.reeb
 import brieskorn.topology
 import brieskorn.verify
-from brieskorn.cli import main
 from brieskorn.errors import BrieskornError, CapacityError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import reeb_periods
@@ -202,30 +198,23 @@ def test_item_8_fails_on_a_wrong_recorded_frequency(suite_ctx):
 # ------------------------------------------------ strata only where read
 
 
-def built_strata(monkeypatch, items) -> list[tuple[int, ...]]:
+def built_strata(item: int, needs: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
     """The entries of each `reeb._build_strata` call while `verify-paper
-    --json` runs `items` alone, which must all pass."""
+    --json` runs `item` and `needs` alone, which must all pass."""
     built = []
-    honest = brieskorn.reeb._build_strata
 
-    def counted(a, rows):
-        built.append(a.entries)
-        return honest(a, rows)
+    def counting(honest):
+        def build(a, rows):
+            built.append(a.entries)
+            return honest(a, rows)
+        return build
 
-    out = io.StringIO()
-    with monkeypatch.context() as patch:
-        replace_everywhere(patch, honest, counted)
-        patch.setattr(brieskorn.verify, "_ITEMS",
-                      [entry for entry in brieskorn.verify._ITEMS if entry[0] in items])
-        with contextlib.redirect_stdout(out):
-            code = main(["verify-paper", "--json"])
-    results = json.loads(out.getvalue())["result"]["items"]
-    assert [r["item"] for r in results] == list(items)
-    assert code == 0 and all(r["passed"] for r in results)
+    case = ("count-strata", item, needs, "brieskorn.reeb._build_strata", counting)
+    assert run_case(case) == (True, 0)
     return built
 
 
-def test_items_that_read_only_chi_m_build_no_strata(monkeypatch):
+def test_items_that_read_only_chi_m_build_no_strata():
     # items 2 and 7 read the value off the lattice; item 11 reads strata
-    assert built_strata(monkeypatch, (2, 7)) == []
-    assert built_strata(monkeypatch, (11,)) == [(2, 3, 5)]
+    assert built_strata(7, needs=(2,)) == []
+    assert built_strata(11) == [(2, 3, 5)]
