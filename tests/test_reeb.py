@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn.reeb
+from brieskorn.certify import enumerate_sphere_tuples
 from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
-from brieskorn.certify import enumerate_sphere_tuples
 from brieskorn.reeb import (
     Stratum,
     chi_m,
