@@ -51,8 +51,6 @@ from .reeb import (
     has_isolated_exponent,
     mean_euler,
     mean_euler_coprime,
-    reeb_periods,
-    stratum,
     total_rs_index,
 )
 from .topology import (

@@ -133,7 +133,7 @@ def _cmd_invariants(args) -> int:
     k = lattice[2][-1]
     chi = _chi_s1(t.length, k)
 
-    chi_m_str = str(report.value) if report.defined else "undefined (mu_RS = 0)"
+    chi_m_str = str(report.value) if report.value is not None else "undefined (mu_RS = 0)"
     human = [
         f"tuple:           {t}   (n = {t.n}, manifold dimension {t.dimension})",
         f"d (lcm):         {t.d}",
@@ -157,7 +157,7 @@ def _cmd_invariants(args) -> int:
         "kappa": str(k),
         "chi_s1": str(chi),
         "total_mu_rs": str(report.total_index),
-        "chi_m_defined": report.defined,
+        "chi_m_defined": report.value is not None,
         "chi_m": _opt_fraction_json(report.value),
     }
     if args.strata:
@@ -175,9 +175,10 @@ def _cmd_sum(args) -> int:
             groups.append([])
         else:
             groups[-1].append(token)
-    tuples = [_parse_tuple_tokens(g) for g in groups if g]
-    if not tuples:
-        raise InvalidInputError("no tuples given")
+    for i, g in enumerate(groups):
+        if not g:
+            raise InvalidInputError(f"summand {i} is empty: give a tuple on each side of '+'")
+    tuples = [_parse_tuple_tokens(g) for g in groups]
     # positivity, which a certificate needs, holds for spheres only
     values = [sphere_chi(t, f"summand {i}", limits) for i, t in enumerate(tuples)]
     total = connected_sum_chi(values, n=3)
@@ -210,7 +211,7 @@ def _family_row_json(row) -> dict:
     return {
         "m": str(row.parameter),
         "tuple": tuple_obj(row.exponents),
-        "verdict": row.verdict.kind.value,
+        "verdict": row.kind.value,
         "pairwise_coprime": row.pairwise_coprime,
         "chi_m": _opt_fraction_json(row.chi_m),
         "closed_form": _opt_fraction_json(row.closed_form),
@@ -230,7 +231,7 @@ def _cmd_family(args) -> int:
             closed = str(r.closed_form) if r.closed_form is not None else "n/a (3 | m)"
             mark = {True: "ok", False: "MISMATCH", None: "-"}[r.agrees]
             human.append(
-                f"m={r.parameter:<5} {str(r.exponents):<28} {r.verdict.kind.value:<12} "
+                f"m={r.parameter:<5} {str(r.exponents):<28} {r.kind.value:<12} "
                 f"chi_m={str(r.chi_m):<18} closed={closed:<18} agreement: {mark}"
             )
         human.append(

@@ -86,9 +86,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: Rational) -> Rational:
-        return self.evaluate(x)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 

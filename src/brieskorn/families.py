@@ -27,7 +27,7 @@ from .errors import BrieskornError, CapacityError, InvalidInputError, Preconditi
 from .exactarith import IntPolynomial
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import chi_m, connected_sum_chi, mean_euler_coprime
-from .topology import ExponentTuple, SphereVerdict, evaluate_criterion, pairwise_coprime
+from .topology import ExponentTuple, SphereKind, pairwise_coprime, sphere_kind
 
 # Closed form numerator/denominator for the (m, m+1, 2m+1, 4m+3) family,
 # coefficients ascending.
@@ -43,7 +43,7 @@ DERIVATIVE_COMBINATION_COEFFS = (0, 48, 208, 80, -648, -672)
 class FamilyRow:
     parameter: int
     exponents: ExponentTuple
-    verdict: SphereVerdict
+    kind: SphereKind
     pairwise_coprime: bool
     chi_m: Fraction | None
     closed_form: Fraction | None
@@ -95,7 +95,7 @@ def sigma_family_rows(
         coprime = math.gcd(m, 3) == 1
         closed = sigma_m_closed_form(m) if coprime else None
         agrees = (value == closed) if closed is not None else None
-        rows.append(FamilyRow(m, a, evaluate_criterion(a), coprime, value, closed, agrees))
+        rows.append(FamilyRow(m, a, sphere_kind(a), coprime, value, closed, agrees))
     return rows
 
 

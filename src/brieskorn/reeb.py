@@ -41,8 +41,6 @@ from .topology import ExponentTuple, _chi_s1, noncoprime_pair, subset_lattice
 __all__ = [
     "Stratum",
     "MeanEulerReport",
-    "reeb_periods",
-    "stratum",
     "total_rs_index",
     "frequencies",
     "chi_m",
@@ -75,20 +73,13 @@ class Stratum(NamedTuple):
 
 @dataclass(frozen=True)
 class MeanEulerReport:
+    """The mean Euler characteristic of `exponents` with its strata; `value`
+    is None exactly when the total index is 0."""
+
     exponents: ExponentTuple
     total_index: int
-    defined: bool
     value: Fraction | None
     strata: tuple[Stratum, ...]
-    global_sign: int
-
-    def __post_init__(self):
-        if self.defined != (self.total_index != 0):
-            raise InvalidInputError(
-                f"defined is {self.defined} but the total index is {self.total_index}"
-            )
-        if (self.value is not None) != self.defined:
-            raise InvalidInputError(f"value {self.value} contradicts defined={self.defined}")
 
 
 def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int]]:
@@ -100,14 +91,6 @@ def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int]]:
     lcm, freq, kap = lattice
     rows = sorted((lcm[J], freq[J], kap[J]) for J in range(len(lcm) - 1) if freq[J] and J & (J - 1))
     return rows + [(lcm[-1], 1, kap[-1])]
-
-
-def reeb_periods(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
-    """Sorted minimal periods: lcms of all subsets of >= 2 exponents.
-
-    The largest entry is always d, the lcm of the whole tuple.
-    """
-    return [T for T, _, _ in _strata_rows(subset_lattice(a, limits))]
 
 
 def _build_strata(
@@ -135,18 +118,11 @@ def _build_strata(
 
 
 def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
-    """Frequency of each period of `reeb_periods(a)`: the multiples of it
-    below the top period d that no larger period divides. The top period
-    itself has frequency 1 by convention."""
+    """Frequency of each Reeb period of `a`, by period: the multiples of it
+    below the top period d that no larger period divides. The periods are the
+    lcms of two or more entries; the top period d itself has frequency 1 by
+    convention."""
     return [f for _, f, _ in _strata_rows(subset_lattice(a, limits))]
-
-
-def stratum(a: ExponentTuple, T: int, limits: Limits = DEFAULT_LIMITS) -> Stratum:
-    """Fully populated stratum for one period of the flow on `a`."""
-    rows = {row[0]: row for row in _strata_rows(subset_lattice(a, limits))}
-    if T not in rows:
-        raise InvalidInputError(f"{T} is not a Reeb period of {a}; periods are {list(rows)}")
-    return _build_strata(a, [rows[T]])[0]
 
 
 def total_rs_index(a: ExponentTuple) -> int:
@@ -208,17 +184,15 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
         (-1) ** ((s.mu_rs - (s.quotient_dim // 2)) % 2) * s.frequency * s.chi_s1
         for s in strata
     ])
-    global_sign = (-1) ** (a.n + 1)
-    if numerator_stratified != global_sign * numerator_global:
+    sign = (-1) ** (a.n + 1)
+    if numerator_stratified != sign * numerator_global:
         raise BrieskornError(
             f"sign coherence failed for {a}: stratified numerator "
-            f"{numerator_stratified} != {global_sign} * {numerator_global}"
+            f"{numerator_stratified} != {sign} * {numerator_global}"
         )
 
-    if total == 0:
-        return MeanEulerReport(a, 0, False, None, strata, global_sign)
-    value = Fraction(global_sign * numerator_global, abs(total))
-    return MeanEulerReport(a, total, True, value, strata, global_sign)
+    value = Fraction(sign * numerator_global, abs(total)) if total else None
+    return MeanEulerReport(a, total, value, strata)
 
 
 def mean_euler_coprime(a: ExponentTuple) -> Fraction:

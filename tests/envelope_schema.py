@@ -1,4 +1,5 @@
-"""JSON Schema for the CLI output envelope, shared by the CLI and acceptance tests."""
+"""JSON Schema for the CLI output envelope and the pinned digests of three
+outputs, shared by the CLI and acceptance tests."""
 
 ENVELOPE_SCHEMA = {
     "type": "object",
@@ -21,4 +22,15 @@ FRACTION_SCHEMA = {
     "required": ["num", "den"],
     "additionalProperties": False,
     "properties": {"num": DECIMAL_STRING, "den": DECIMAL_STRING},
+}
+
+# sha256 of the stdout of three commands, pinned so that a refactor that
+# changes any output byte fails; the same under any PYTHONHASHSEED
+ENVELOPE_SHA256 = {
+    ("invariants", "4", "5", "9", "19", "--strata", "--json"):
+        "c40c1d6aee9f043d3c17f6a2e4fb384ac2aa93dccc22644fb392e79145f936de",
+    ("family", "sigma-m", "--from", "4", "--to", "200", "--json"):
+        "f44936894c18d6472e75dd111bcc745b80e052ad98d346cdd929768c0b779e06",
+    ("verify-paper", "--json"):
+        "9f697441ecd4bdcd061bd39c15110f381aed2c78cc2bb7f6bba758eab97dcd29",
 }

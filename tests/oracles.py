@@ -136,10 +136,9 @@ def per_stratum_mean_euler(a):
                               mu - 2 * period, chi_s1(b), frequency))
     d = a.d
     total = 2 * (sum(d // e for e in a.entries) - d)
-    sign = (-1) ** (a.n + 1)
     numerator = sum(s.frequency * s.chi_s1 for s in strata)
-    value = Fraction(sign * numerator, abs(total)) if total else None
-    return MeanEulerReport(a, total, total != 0, value, tuple(strata), sign)
+    value = Fraction((-1) ** (a.n + 1) * numerator, abs(total)) if total else None
+    return MeanEulerReport(a, total, value, tuple(strata))
 
 
 def fraction_connected_sum(values, n):

@@ -18,7 +18,7 @@ from brieskorn.certify import (
 from brieskorn.cli import main
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import CheckResult, SuiteResult
-from envelope_schema import ENVELOPE_SCHEMA, FRACTION_SCHEMA
+from envelope_schema import ENVELOPE_SCHEMA, ENVELOPE_SHA256, FRACTION_SCHEMA
 from oracles import json_dumps_lines, set_criterion
 from verify_faults import replace_everywhere
 
@@ -166,6 +166,32 @@ def test_sum_self_pair(capsys):
     assert result["boundary"] is False
 
 
+def test_sum_three_summands(capsys):
+    code, env, _ = run_json(capsys, "sum", "4,5,9,19", "+", "4,5,9,19", "+", "4,5,9,19")
+    assert code == 0
+    result = env["result"]
+    # 3 * 407/2642 - 2 * 1/2
+    assert result["chi_sum"] == {"num": "-1421", "den": "2642"}
+    assert result["certified_non_brieskorn"] is True
+    assert result["boundary"] is False
+    assert len(result["summands"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["+", "4,5,9,19"], 0),
+        (["4,5,9,19", "+"], 1),
+        (["4,5,9,19", "+", "+", "4,5,9,19"], 1),
+    ],
+    ids=["leading", "trailing", "doubled"],
+)
+def test_sum_refuses_an_empty_summand(capsys, argv, position):
+    code, out, err = run(capsys, "sum", *argv)
+    assert (code, out) == (2, "")
+    assert f"summand {position} is empty" in err
+
+
 def test_sum_single_tuple(capsys):
     code, env, _ = run_json(capsys, "sum", "4,5,9,19")
     assert code == 0
@@ -190,20 +216,25 @@ def test_sum_refuses_a_summand_with_undefined_chi_m(capsys, monkeypatch):
     # no sphere has total index 0 (each has an isolated exponent), so stub chi_m
     monkeypatch.setattr(
         "brieskorn.certify.mean_euler",
-        lambda t, limits: SimpleNamespace(defined=False, value=None),
+        lambda t, limits: SimpleNamespace(value=None),
     )
     code, out, err = run(capsys, "sum", "4,5,9,19", "+", "4,5,9,19")
     assert (code, out) == (2, "")
     assert "summand 0 (4, 5, 9, 19) has no chi_m (total index 0)" in err
 
 
-@pytest.mark.parametrize("argv", [["2,3,8,8"], ["2,3,8,8", "+", "4,5,9,19"]])
+@pytest.mark.parametrize("argv", [
+    ["2,3,8,8"],
+    ["2,3,8,8", "+", "4,5,9,19"],
+    ["4,5,9,19", "+", "4,5,9,19", "+", "2,3,8,8"],
+])
 def test_sum_refuses_a_summand_that_is_not_a_sphere(capsys, argv):
     # Sigma(2, 3, 8, 8) is itself a Brieskorn manifold with chi_m = -1/2, so a
     # negative sum with it as a summand certifies nothing
+    position = argv[:argv.index("2,3,8,8")].count("+")
     code, out, err = run(capsys, "sum", *argv)
     assert (code, out) == (2, "")
-    assert "summand 0 (2, 3, 8, 8) is not a sphere tuple (NOT_SPHERE)" in err
+    assert f"summand {position} (2, 3, 8, 8) is not a sphere tuple (NOT_SPHERE)" in err
 
 
 def test_sum_certifies_exactly_what_the_pair_search_certifies(capsys):
@@ -349,6 +380,21 @@ def test_search_unwritable_path_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert err
+
+
+# ------------------------------------------------------- byte identity
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in ENVELOPE_SHA256 if argv[0] != "verify-paper"],
+    ids=lambda argv: argv[0],
+)
+def test_output_bytes_are_pinned(capsys, argv):
+    # verify-paper's digest is checked on the end-to-end run of
+    # test_acceptance.py::test_criterion_12_verify_paper_end_to_end
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENVELOPE_SHA256[argv]
 
 
 # ---------------------------------------------------------- verify-paper

@@ -32,7 +32,7 @@ def test_polynomial_derivative():
 
 def test_polynomial_evaluate():
     assert H_POLY.evaluate(4) == 2642
-    assert H_POLY(Fraction(1, 2)) == Fraction(-6, 1) - 17 - Fraction(50, 4) - 1 + 1
+    assert H_POLY.evaluate(Fraction(1, 2)) == Fraction(-6, 1) - 17 - Fraction(50, 4) - 1 + 1
     assert IntPolynomial(()).evaluate(7) == 0
 
 

@@ -89,6 +89,8 @@ def test_family_rows_flag_multiples_of_three():
     assert rows[6].chi_m is not None  # general algorithm still applies
     assert rows[4].agrees is True
     assert rows[4].closed_form == Fraction(407, 2642)
+    # the criterion's kind alone; the rows keep no components
+    assert {r.kind for r in rows.values()} == {SphereKind.SPHERE_BY_I}
     # agreement and strict decrease over the coprime rows, as verify-paper reads them
     assert closed_form_checks(sigma_family_rows(4, 50)) == (True, True)
     with pytest.raises(InvalidInputError):

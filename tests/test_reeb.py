@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -22,8 +22,6 @@ from brieskorn.reeb import (
     has_isolated_exponent,
     mean_euler,
     mean_euler_coprime,
-    reeb_periods,
-    stratum,
     total_rs_index,
 )
 from brieskorn.topology import (
@@ -50,24 +48,33 @@ wide_tuples = st.lists(
 ).map(lambda xs: ExponentTuple(tuple(xs)))
 
 
+def periods(t):
+    return [s.period for s in mean_euler(t).strata]
+
+
+def stratum(t, T):
+    # the stratum of period T among those mean_euler builds
+    return next(s for s in mean_euler(t).strata if s.period == T)
+
+
 # ----------------------------------------------------------- periods
 
 
 def test_periods_examples():
-    assert reeb_periods(make_tuple([2, 2, 3])) == [2, 6]
-    assert reeb_periods(make_tuple([2, 3, 5])) == [6, 10, 15, 30]
-    assert reeb_periods(make_tuple([4, 5, 9, 19])) == [
+    assert periods(make_tuple([2, 2, 3])) == [2, 6]
+    assert periods(make_tuple([2, 3, 5])) == [6, 10, 15, 30]
+    assert periods(make_tuple([4, 5, 9, 19])) == [
         20, 36, 45, 76, 95, 171, 180, 380, 684, 855, 3420,
     ]
 
 
 @given(wide_tuples)
 def test_periods_end_at_d_and_divide_it(t):
-    periods = reeb_periods(t)
-    assert periods[-1] == t.d
-    assert all(t.d % p == 0 for p in periods)
-    assert periods == sorted(set(periods))
-    assert periods == subset_periods(t.entries)
+    ps = periods(t)
+    assert ps[-1] == t.d
+    assert all(t.d % p == 0 for p in ps)
+    assert ps == sorted(set(ps))
+    assert ps == subset_periods(t.entries)
 
 
 # ------------------------------------------------------ subset lattice
@@ -92,9 +99,7 @@ def test_lattice_cap_fails_before_allocating():
     limits = Limits(subset_cap=16)
     t = ExponentTuple(tuple(range(2, 19)))
     calls = {
-        "reeb_periods": lambda: reeb_periods(t, limits),
         "frequencies": lambda: frequencies(t, limits),
-        "stratum": lambda: stratum(t, 6, limits),
         "mean_euler": lambda: mean_euler(t, limits),
         "chi_m": lambda: chi_m(t, limits),
     }
@@ -111,9 +116,8 @@ def test_lattice_cap_fails_before_allocating():
 
 @pytest.mark.parametrize(
     "reader",
-    [reeb_periods, frequencies, lambda a: stratum(a, 6), mean_euler,
-     kappa, chi_s1, chi_m],
-    ids=["reeb_periods", "frequencies", "stratum", "mean_euler", "kappa", "chi_s1", "chi_m"],
+    [frequencies, mean_euler, kappa, chi_s1, chi_m],
+    ids=["frequencies", "mean_euler", "kappa", "chi_s1", "chi_m"],
 )
 def test_lattice_readers_refuse_a_plain_list(reader):
     # refused before `entries` or `length` is read, in the lattice's words
@@ -149,11 +153,6 @@ def test_stratum_top_period_is_even_index():
     assert s.frequency == 1
 
 
-def test_stratum_rejects_non_period():
-    with pytest.raises(InvalidInputError):
-        stratum(make_tuple([2, 3, 5]), 7)
-
-
 def test_top_stratum_index_equals_total():
     # at T = d every exponent divides T, so the floor/ceil sum collapses to
     # the total-index formula
@@ -181,19 +180,16 @@ def test_a_period_divided_by_one_entry_is_refused(monkeypatch):
     t = make_tuple([2, 3, 5])
     with pytest.raises(BrieskornError, match="fewer than two entries"):
         mean_euler(t)
-    with pytest.raises(BrieskornError, match="fewer than two entries"):
-        stratum(t, 4)
 
 
 @given(wide_tuples)
 @settings(max_examples=60)
 def test_stratum_parity(t):
-    by_period = {s.period: s for s in mean_euler(t).strata}
-    for T in reeb_periods(t):
-        s = stratum(t, T)
+    strata = mean_euler(t).strata
+    assert [s.period for s in strata] == subset_periods(t.entries)
+    for s in strata:
         assert (s.mu_rs - (t.n + 1 - s.m_t)) % 2 == 0
         assert (s.mu_rs - s.quotient_dim // 2 - (t.n + 1)) % 2 == 0
-        assert s.frequency == by_period[T].frequency
 
 
 # ------------------------------------------------------- total index
@@ -245,10 +241,8 @@ def test_frequencies_match_counting_kernel(t):
 
 def test_mean_euler_reference_tuple():
     report = mean_euler(make_tuple([4, 5, 9, 19]))
-    assert report.defined
     assert report.value == Fraction(407, 2642)
     assert report.total_index == -2642
-    assert report.global_sign == 1
 
 
 def test_mean_euler_hand_worked_triple():
@@ -257,12 +251,10 @@ def test_mean_euler_hand_worked_triple():
     assert [s.period for s in report.strata] == [6, 10, 15, 30]
     assert [s.frequency for s in report.strata] == [4, 2, 1, 1]
     assert [s.chi_s1 for s in report.strata] == [1, 1, 1, 2]
-    assert report.global_sign == -1
 
 
 def test_mean_euler_undefined():
     report = mean_euler(make_tuple([2, 4, 6, 12]))
-    assert not report.defined
     assert report.value is None
     assert report.total_index == 0
 
@@ -273,17 +265,10 @@ def test_mean_euler_report_invariants():
         last = report.strata[-1]
         assert last.period == report.exponents.d
         assert last.frequency == 1
-        if report.defined:
+        if report.value is not None:
             weighted = sum(s.frequency * s.chi_s1 for s in report.strata)
-            assert report.value * abs(report.total_index) == report.global_sign * weighted
-
-
-def test_mean_euler_report_rejects_inconsistent_fields():
-    good = mean_euler(make_tuple([2, 3, 5]))
-    with pytest.raises(InvalidInputError):
-        replace(good, total_index=0)  # defined, yet total index 0
-    with pytest.raises(InvalidInputError):
-        replace(good, value=None)  # defined, yet no value
+            sign = (-1) ** (report.exponents.n + 1)
+            assert report.value * abs(report.total_index) == sign * weighted
 
 
 @given(wide_tuples)
@@ -337,7 +322,7 @@ def test_mean_euler_sign_coherence_and_parity(t):
     # mean_euler itself raises if the per-stratum signs disagree with the
     # global prefactor; this exercises it across random tuples up to L = 8
     report = mean_euler(t)
-    assert report.defined == (report.total_index != 0)
+    assert (report.value is None) == (report.total_index == 0)
     for s in report.strata:
         assert (s.mu_rs - (t.n + 1 - s.m_t)) % 2 == 0
 

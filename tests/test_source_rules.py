@@ -279,3 +279,49 @@ def test_package_modules_import_only_public_names_and_seams():
         for line in private_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def all_mismatches(source: str) -> list[str]:
+    """Names in a module's literal `__all__` that are not its public top-level
+    functions and classes, and those missing from it; none without `__all__`."""
+    tree = ast.parse(source)
+    listed = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            listed = set(ast.literal_eval(node.value))
+    if listed is None:
+        return []
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    return sorted(listed ^ public)
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("def f(): pass\ndef _g(): pass", []),
+        ('__all__ = ["A", "f"]\nclass A: pass\ndef f(): pass\ndef _g(): pass', []),
+        ('__all__ = ["f", "gone"]\ndef f(): pass', ["gone"]),
+        ('__all__ = ("f",)\ndef f(): pass\nclass B: pass', ["B"]),
+        ('__all__ = ["_g"]\ndef _g(): pass', ["_g"]),
+    ],
+)
+def test_all_rule(source, names):
+    assert all_mismatches(source) == names
+
+
+def test_package_all_lists_exactly_the_public_names():
+    # a name removed from a module cannot linger in its `__all__`, and a new
+    # public function or class is listed
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in all_mismatches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
