@@ -17,11 +17,12 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
-from .serialize import parse_fraction, parse_int
 from .topology import SPHERE_KINDS, ExponentTuple, _verdict, sphere_kind
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
@@ -48,28 +48,20 @@ class NonBrieskornCertificate:
     chi_b: Fraction
     chi_sum: Fraction
     boundary: bool
-    dimension: int = 5
-    conclusion: str = CONCLUSION
+    # the same for every certificate, and fixed text in every file line
+    dimension: ClassVar[int] = 5
+    conclusion: ClassVar[str] = CONCLUSION
 
     def __post_init__(self):
         # Explicit raises, not asserts: certificates read back from a file
-        # must be checked under `python -O` too. This is the one check of the
-        # fields; the reader passes them through as it parsed them.
+        # must be checked under `python -O` too.
         for side, t in (("tuple_a", self.tuple_a), ("tuple_b", self.tuple_b)):
             if t.length != 4:
                 raise InvalidInputError(
                     f"{side} has {t.length} entries, but a 5-dimensional sphere needs 4"
                 )
-        # The writer emits these two as fixed text, so only the int 5 and a
-        # bool may be stored.
-        if type(self.dimension) is not int or self.dimension != 5:
-            raise InvalidInputError(f"dimension must be 5, got {self.dimension!r}")
         if type(self.boundary) is not bool:
             raise InvalidInputError(f"boundary must be a boolean, got {self.boundary!r}")
-        if self.conclusion != CONCLUSION:
-            raise InvalidInputError(
-                f"conclusion must be {CONCLUSION!r}, got {self.conclusion!r}"
-            )
         # chi_sum == chi_a + chi_b - 1/2 over the integers: the stored
         # denominators are positive, so cross-multiplying keeps the equation.
         try:
@@ -243,19 +235,35 @@ def distinctness_classes(
     return tuple(classes)
 
 
-_REQUIRED_FIELDS = (
-    "tuple_a",
-    "tuple_b",
-    "chi_a",
-    "chi_b",
-    "chi_sum",
-    "dimension",
-    "boundary",
-    "conclusion",
-)
-
 # Lines are written in chunks of this many, so the text in memory stays small.
 _WRITE_CHUNK_LINES = 4096
+
+# The file format, written once for the writer and the reader: each side's
+# tuple as a list of decimal strings, each rational as {"num": ..., "den": ...}
+# of decimal strings, and a fixed tail after chi_sum for each boundary value.
+_TAILS = {
+    flag: f',"dimension":5,"boundary":{json.dumps(flag)},"conclusion":{json.dumps(CONCLUSION)}}}\n'
+    for flag in (False, True)
+}
+
+
+def _fraction_text(q: Fraction) -> str:
+    return f'{{"num":"{q.numerator}","den":"{q.denominator}"}}'
+
+
+def _side_texts(t: ExponentTuple, chi: Fraction) -> tuple[str, str]:
+    return '["' + '","'.join(map(str, t.entries)) + '"]', _fraction_text(chi)
+
+
+def _line(
+    side_a: tuple[str, str], side_b: tuple[str, str], chi_sum: Fraction, boundary: bool
+) -> str:
+    # a certificate's line from the (tuple, chi) texts of its two sides
+    (tuple_a, chi_a), (tuple_b, chi_b) = side_a, side_b
+    return (
+        f'{{"tuple_a":{tuple_a},"tuple_b":{tuple_b},"chi_a":{chi_a},"chi_b":{chi_b},'
+        f'"chi_sum":{_fraction_text(chi_sum)}{_TAILS[boundary]}'
+    )
 
 
 def certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Iterator[str]:
@@ -264,36 +272,21 @@ def certificate_lines(certificates: Iterable[NonBrieskornCertificate]) -> Iterat
     A line is one compact JSON object with the keys tuple_a, tuple_b,
     chi_a, chi_b, chi_sum, dimension, boundary and conclusion, in that
     order. Tuples are lists of decimal strings and rationals are
-    {"num": ..., "den": ...} objects of decimal strings. The text is built
-    from fragments: each (tuple, chi) side is formatted once, chi_sum once
-    per line, and the tail is one of two fixed texts.
+    {"num": ..., "den": ...} objects of decimal strings. Each (tuple, chi)
+    side is formatted once, chi_sum once per line, and the tail is one of
+    two fixed texts.
     """
     sides: dict[tuple, tuple[str, str]] = {}
-    conclusion = json.dumps(CONCLUSION)
-    tails = {
-        flag: f',"dimension":5,"boundary":{json.dumps(flag)},"conclusion":{conclusion}}}\n'
-        for flag in (False, True)
-    }
 
     def side(t: ExponentTuple, chi: Fraction) -> tuple[str, str]:
-        num, den = chi.numerator, chi.denominator
-        key = (t.entries, num, den)
+        key = (t.entries, chi.numerator, chi.denominator)
         texts = sides.get(key)
         if texts is None:
-            texts = sides[key] = (
-                '["' + '","'.join(map(str, t.entries)) + '"]',
-                f'{{"num":"{num}","den":"{den}"}}',
-            )
+            texts = sides[key] = _side_texts(t, chi)
         return texts
 
     for c in certificates:
-        tuple_a, chi_a = side(c.tuple_a, c.chi_a)
-        tuple_b, chi_b = side(c.tuple_b, c.chi_b)
-        s = c.chi_sum
-        yield (
-            f'{{"tuple_a":{tuple_a},"tuple_b":{tuple_b},"chi_a":{chi_a},"chi_b":{chi_b},'
-            f'"chi_sum":{{"num":"{s.numerator}","den":"{s.denominator}"}}{tails[c.boundary]}'
-        )
+        yield _line(side(c.tuple_a, c.chi_a), side(c.tuple_b, c.chi_b), c.chi_sum, c.boundary)
 
 
 def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: str | Path) -> str:
@@ -324,76 +317,61 @@ def write_certificates(certificates: Iterable[NonBrieskornCertificate], path: st
     return digest.hexdigest()
 
 
-def _parse_side(entries, chi_obj, side: str, cache: dict) -> tuple[ExponentTuple, Fraction]:
-    # One side of a line: tuple_a with chi_a, or tuple_b with chi_b. Cached
-    # only under all-string keys: a string equals only a string, so a hit
-    # means the same text, while 4.0 == 4 would let a float entry through. A
-    # miss re-derives the tuple's sphere verdict and chi_m, so in a valid file
-    # they run once per distinct tuple.
-    key = None
-    if type(chi_obj) is dict and len(chi_obj) == 2:
-        key = (*entries, chi_obj.get("num"), chi_obj.get("den"))
-    try:
-        return cache[key]
-    except (KeyError, TypeError):
-        pass
-    what = f"tuple_{side}"
-    t = ExponentTuple(tuple(parse_int(e, f"{what} entry") for e in entries))
-    chi_m = sphere_chi(t, what)
-    # a line whose chi values add up is still forged unless they are its tuples' chi_m
-    chi = parse_fraction(chi_obj, f"chi_{side}")
-    if chi != chi_m:
-        raise InvalidInputError(f"chi_{side} {chi} is not chi_m {chi_m} of {t}")
-    if key is not None and all(type(x) is str for x in key):
-        cache[key] = t, chi
-    return t, chi
-
-
-def _certificate_from_obj(obj: dict, sides: dict) -> NonBrieskornCertificate:
-    missing = [k for k in _REQUIRED_FIELDS if k not in obj]
-    if missing:
-        raise InvalidInputError(f"missing fields {missing}")
-    for side in ("tuple_a", "tuple_b"):
-        if not isinstance(obj[side], list):
-            raise InvalidInputError(f"{side} must be a list of decimal strings")
-    tuple_a, chi_a = _parse_side(obj["tuple_a"], obj["chi_a"], "a", sides)
-    tuple_b, chi_b = _parse_side(obj["tuple_b"], obj["chi_b"], "b", sides)
-    # the constructor checks dimension, boundary and conclusion
-    return NonBrieskornCertificate(
-        tuple_a=tuple_a,
-        tuple_b=tuple_b,
-        chi_a=chi_a,
-        chi_b=chi_b,
-        # nearly every line has its own chi_sum, so caching it would only grow
-        chi_sum=parse_fraction(obj["chi_sum"], "chi_sum"),
-        boundary=obj["boundary"],
-        dimension=obj["dimension"],
-        conclusion=obj["conclusion"],
-    )
+# Finds the fields of a line without validating them: a line is accepted only
+# if it is the one `certificate_lines` writes for the certificate read from it.
+_LINE = re.compile(
+    r'\{"tuple_a":(\[[^\]]*\]),"tuple_b":(\[[^\]]*\]),'
+    r'"chi_a":\{"num":"([^"]*)","den":"([^"]*)"\},"chi_b":\{"num":"([^"]*)","den":"([^"]*)"\},'
+    r'"chi_sum":\{"num":"([^"]*)","den":"([^"]*)"\},"dimension":5,"boundary":(true|false),'
+)
 
 
 def iter_certificates(path: str | Path) -> Iterator[NonBrieskornCertificate]:
     """Yield the certificates of a JSONL file in order; errors cite the 1-based line number.
 
-    Each tuple must be a sphere of 4 entries, and its chi must be the chi_m
-    re-derived from it. Each distinct (tuple, chi) text is parsed and
-    checked once per file; every line is still checked as a whole
+    A line is accepted exactly when it is, byte for byte, the line that
+    `certificate_lines` writes for the certificate read from it. Each tuple
+    must be a sphere of 4 entries and its chi the chi_m re-derived from it,
+    once per distinct tuple text; every line is still checked as a whole
     certificate.
     """
-    sides: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    # per distinct tuple text: the tuple, its chi_m, chi_m's num and den
+    # texts, and the side's texts as the writer makes them
+    spheres: dict[str, tuple] = {}
+
+    def side(text: str, num: str, den: str, name: str):
+        hit = spheres.get(text)
+        if hit is None:
+            t = ExponentTuple(tuple(map(int, text[2:-2].split('","'))))
+            chi_m = sphere_chi(t, f"tuple_{name}")
+            chi_m_text = str(chi_m.numerator), str(chi_m.denominator)
+            hit = spheres[text] = t, chi_m, chi_m_text, _side_texts(t, chi_m)
+        t, chi_m, chi_m_text, texts = hit
+        if (num, den) != chi_m_text:
+            # a line whose chi values add up is still forged unless they are
+            # its tuples' chi_m; another text of chi_m fails the line comparison
+            chi = Fraction(int(num), int(den))
+            if chi != chi_m:
+                raise InvalidInputError(f"chi_{name} {chi} is not chi_m {chi_m} of {t}")
+        return t, chi_m, texts
+
+    # a byte that is not UTF-8 becomes a lone surrogate, which no written line holds
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CertificateFormatError(lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CertificateFormatError(lineno, "expected a JSON object")
-            try:
-                cert = _certificate_from_obj(obj, sides)
-            except InvalidInputError as exc:
+                fields = _LINE.match(line)
+                if fields is None:
+                    raise InvalidInputError("not a certificate line")
+                ta, tb, an, ad, bn, bd, sn, sd, flag = fields.groups()
+                tuple_a, chi_a, texts_a = side(ta, an, ad, "a")
+                tuple_b, chi_b, texts_b = side(tb, bn, bd, "b")
+                cert = NonBrieskornCertificate(
+                    tuple_a, tuple_b, chi_a, chi_b, Fraction(int(sn), int(sd)), flag == "true"
+                )
+                if _line(texts_a, texts_b, cert.chi_sum, cert.boundary) != line:
+                    raise InvalidInputError("not the line `certificate_lines` writes for it")
+            except (ValueError, ZeroDivisionError) as exc:
+                # ValueError covers InvalidInputError and a failed int()
                 raise CertificateFormatError(lineno, str(exc)) from None
             yield cert
 

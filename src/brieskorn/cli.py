@@ -35,12 +35,14 @@ EXIT_INVALID = 2
 
 
 def _parse_tuple_tokens(tokens: list[str]) -> ExponentTuple:
-    """Accept `4 5 9 19` as well as `4,5,9,19` (and mixtures)."""
+    """Accept `4 5 9 19` as well as `4,5,9,19` (and mixtures); refuse an
+    empty piece, as in `4,,9,19` or `4,9,19,`."""
     entries = []
     for token in tokens:
         for piece in token.split(","):
-            if piece:
-                entries.append(parse_int(piece, "tuple entry"))
+            if not piece:
+                raise InvalidInputError(f"tuple token {token!r} has an empty entry")
+            entries.append(parse_int(piece, "tuple entry"))
     return ExponentTuple(tuple(entries))
 
 

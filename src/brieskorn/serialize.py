@@ -37,12 +37,3 @@ def tuple_obj(t: ExponentTuple) -> list[str]:
 def fraction_obj(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
-
-def parse_fraction(obj, what: str = "rational") -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise InvalidInputError(f"{what} must be an object with num/den, got {obj!r}")
-    num = parse_int(obj["num"], f"{what}.num")
-    den = parse_int(obj["den"], f"{what}.den")
-    if den <= 0:
-        raise InvalidInputError(f"{what}.den must be positive, got {den}")
-    return Fraction(num, den)

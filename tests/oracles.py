@@ -15,7 +15,7 @@ from brieskorn.errors import (
     UnsupportedLengthError,
 )
 from brieskorn.reeb import MeanEulerReport, Stratum
-from brieskorn.serialize import fraction_obj, parse_fraction, parse_int, tuple_obj
+from brieskorn.serialize import fraction_obj, parse_int, tuple_obj
 from brieskorn.topology import ExponentTuple, SphereKind, SphereVerdict, chi_s1
 
 
@@ -245,27 +245,54 @@ def _per_field_certificate(obj):
         chi_b=chis["b"],
         chi_sum=chi_sum,
         boundary=obj["boundary"],
-        dimension=obj["dimension"],
-        conclusion=obj["conclusion"],
     )
+
+
+def _per_field_line(lineno, line):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CertificateFormatError(lineno, f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise CertificateFormatError(lineno, "expected a JSON object")
+    try:
+        return _per_field_certificate(obj)
+    except InvalidInputError as exc:
+        raise CertificateFormatError(lineno, str(exc)) from None
 
 
 def per_field_read_certificates(path):
     # the certificate reader without caches: every field of every line
-    # parsed and validated on its own
-    out = []
+    # parsed and validated on its own, in any JSON spelling; blank lines skipped
     with open(path, encoding="utf-8") as fh:
+        return [
+            _per_field_line(lineno, line)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
+
+
+def canonical_read_certificates(path):
+    # the per-field reader with each line held to `json_dumps_lines` of the
+    # certificate read from it: a blank line, any other spelling and a \r\n
+    # line end are refused
+    out = []
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CertificateFormatError(lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CertificateFormatError(lineno, "expected a JSON object")
-            try:
-                out.append(_per_field_certificate(obj))
-            except InvalidInputError as exc:
-                raise CertificateFormatError(lineno, str(exc)) from None
+                raise CertificateFormatError(lineno, "blank line")
+            cert = _per_field_line(lineno, line)
+            if line != json_dumps_lines([cert]):
+                raise CertificateFormatError(lineno, "not the json.dumps line of its certificate")
+            out.append(cert)
     return out
+
+
+def parse_fraction(obj, what="rational"):
+    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
+        raise InvalidInputError(f"{what} must be an object with num/den, got {obj!r}")
+    num = parse_int(obj["num"], f"{what}.num")
+    den = parse_int(obj["den"], f"{what}.den")
+    if den <= 0:
+        raise InvalidInputError(f"{what}.den must be positive, got {den}")
+    return Fraction(num, den)

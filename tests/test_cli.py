@@ -14,6 +14,7 @@ from brieskorn.certify import (
     certify_non_brieskorn_pairs,
     enumerate_sphere_tuples,
     read_certificates,
+    write_certificates,
 )
 from brieskorn.cli import main
 from brieskorn.topology import ExponentTuple
@@ -87,6 +88,14 @@ def test_non_canonical_tuple_entry_exits_2(capsys, text):
     code, _, err = run(capsys, "invariants", text, "5", "9", "19")
     assert code == 2
     assert f"not a decimal integer: {text!r}" in err
+
+
+@pytest.mark.parametrize("token", ["4,,9,19", "4,9,19,", ",4,9,19"])
+@pytest.mark.parametrize("command", [["criterion"], ["sum", "4,5,9,19", "+"]])
+def test_an_empty_comma_piece_exits_2(capsys, command, token):
+    code, out, err = run(capsys, *command, token)
+    assert (code, out) == (2, "")
+    assert f"tuple token {token!r} has an empty entry" in err
 
 
 def test_criterion_invalid_entry_exits_2(capsys):
@@ -306,6 +315,13 @@ def test_family_missing_arguments(capsys):
 # ---------------------------------------------------------------- search
 
 
+# sha256 of the certificate file of `search --max-exponent A`
+SEARCH_JSONL_SHA256 = {
+    "12": "c6c6c501083bd60e95713b48c82271f2c03caec5c1b09615d1919bc384a413a8",
+    "19": "c496b05df338bb51abb746869c75c7c91d7221700b9f79869f5cfb4a7c5884d6",
+}
+
+
 def test_search_includes_reference_certificate(tmp_path, capsys):
     out_path = tmp_path / "certs.jsonl"
     code, env, _ = run_json(
@@ -321,6 +337,18 @@ def test_search_includes_reference_certificate(tmp_path, capsys):
     assert len(ref) == 1
     assert ref[0].chi_sum == Fraction(-507, 2642)
     assert env["result"]["certificates"] == len(certs)
+    assert env["result"]["sha256"] == SEARCH_JSONL_SHA256["19"]
+
+
+def test_search_file_bytes_are_pinned_and_read_back_to_themselves(tmp_path, capsys):
+    out_path, again = tmp_path / "certs.jsonl", tmp_path / "again.jsonl"
+    code, env, _ = run_json(capsys, "search", "--max-exponent", "12", "--out", str(out_path))
+    assert code == 0
+    data = out_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == env["result"]["sha256"] == SEARCH_JSONL_SHA256["12"]
+    # reading the file and writing what was read gives the same bytes
+    assert write_certificates(read_certificates(out_path), again) == SEARCH_JSONL_SHA256["12"]
+    assert again.read_bytes() == data
 
 
 @pytest.mark.parametrize("to_file", [True, False])

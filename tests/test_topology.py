@@ -4,7 +4,7 @@ import math
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brieskorn.errors import CapacityError, InvalidInputError, UnsupportedLengthError
@@ -236,6 +236,7 @@ def test_kappa_respects_length_cap():
         kappa(t, Limits(subset_cap=3))
 
 
+@settings(deadline=None)
 @given(small_tuples)
 def test_kappa_permutation_invariant(t):
     for p in set(permutations(t.entries)):
