@@ -78,6 +78,7 @@ def _limits_from_args(args) -> Limits:
 
 
 def _cmd_criterion(args) -> int:
+    _limits_from_args(args)  # no limit applies here; invalid ones are refused as elsewhere
     t = _parse_tuple_tokens(args.entries)
     verdict = evaluate_criterion(t)
 
@@ -113,14 +114,14 @@ def _cmd_criterion(args) -> int:
     return EXIT_OK
 
 
-def _stratum_json(s) -> dict:
+def _stratum_json(t: ExponentTuple, s) -> dict:
     return {
         "period": str(s.period),
         "indices": list(s.indices),
-        "subtuple": tuple_obj(s.subtuple),
+        "subtuple": tuple_obj(t.subtuple(s.indices)),
         "m_t": s.m_t,
-        "dim": s.dim,
-        "quotient_dim": s.quotient_dim,
+        "dim": 2 * s.m_t - 3,
+        "quotient_dim": 2 * s.m_t - 4,
         "mu_rs": str(s.mu_rs),
         "chi_s1": str(s.chi_s1),
         "frequency": str(s.frequency),
@@ -148,7 +149,7 @@ def _cmd_invariants(args) -> int:
         human.append("strata (period, subtuple, dim, mu_RS, frequency, chi_S1):")
         for s in report.strata:
             human.append(
-                f"  T={s.period:<12} b={str(s.subtuple):<24} dim={s.dim:<3} "
+                f"  T={s.period:<12} b={str(t.subtuple(s.indices)):<24} dim={2 * s.m_t - 3:<3} "
                 f"mu_RS={s.mu_rs:<8} phi={s.frequency:<8} chi_S1={s.chi_s1}"
             )
     result = {
@@ -163,7 +164,7 @@ def _cmd_invariants(args) -> int:
         "chi_m": _opt_fraction_json(report.value),
     }
     if args.strata:
-        result["strata"] = [_stratum_json(s) for s in report.strata]
+        result["strata"] = [_stratum_json(t, s) for s in report.strata]
     _emit(args, _envelope("invariants", {"tuple": tuple_obj(t), "strata": bool(args.strata)},
                           result, []), human)
     return EXIT_OK

@@ -54,18 +54,16 @@ __all__ = [
 class Stratum(NamedTuple):
     """All T-periodic points of the Reeb flow, itself a Brieskorn manifold.
 
-    `indices` are the positions j with a_j | T, `subtuple` the exponents on
-    them, `m_t` their count. The stratum has dimension 2*m_t - 3 and its
-    orbit space dimension 2*m_t - 4. An immutable named tuple: it unpacks in
-    field order and compares equal to a plain tuple of the same values.
+    What `mean_euler` computes for the period T: the positions `indices` of
+    the a_j | T and their count `m_t`, then `mu_rs`, `chi_s1`, `frequency`.
+    The stratum is the manifold of `a.subtuple(indices)`, of dimension
+    2*m_t - 3 and orbit space dimension 2*m_t - 4. An immutable named tuple:
+    it unpacks in field order and equals a plain tuple of the same values.
     """
 
     period: int
     indices: tuple[int, ...]
-    subtuple: ExponentTuple
     m_t: int
-    dim: int
-    quotient_dim: int
     mu_rs: int
     chi_s1: int
     frequency: int
@@ -112,8 +110,7 @@ def _build_strata(
         # Each exponent not dividing T contributes an odd floor+ceil term.
         if (mu - (L - m_t)) % 2 != 0:
             raise BrieskornError(f"index parity fails for {a} at period {T}: mu_RS = {mu}")
-        strata.append(Stratum(T, indices, a.subtuple(indices), m_t, 2 * m_t - 3, 2 * m_t - 4,
-                              mu, _chi_s1(m_t, kappa), frequency))
+        strata.append(Stratum(T, indices, m_t, mu, _chi_s1(m_t, kappa), frequency))
     return tuple(strata)
 
 
@@ -165,8 +162,9 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
 
     The signed sum is evaluated by two routes: over the lattice with the
     global prefactor (-1)^(n+1), from each subset's popcount and kappa, and
-    over the strata with the per-stratum signs (-1)^(mu_RS - quotient_dim/2),
-    from their division-derived m_t, chi_S1 and index. The index parity
+    over the strata with the per-stratum signs (-1)^(mu_RS - m_t) (the parity
+    of mu_RS - (2*m_t - 4)/2), from their division-derived m_t, chi_S1 and
+    index. The index parity
     relation makes these agree, and the agreement is enforced.
     """
     # the lattice first: it refuses what is not an ExponentTuple
@@ -181,7 +179,7 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
 
     numerator_global = _chi_numerator(lattice)
     numerator_stratified = sum([
-        (-1) ** ((s.mu_rs - (s.quotient_dim // 2)) % 2) * s.frequency * s.chi_s1
+        (-1) ** ((s.mu_rs - s.m_t) % 2) * s.frequency * s.chi_s1
         for s in strata
     ])
     sign = (-1) ** (a.n + 1)

@@ -24,8 +24,10 @@ FRACTION_SCHEMA = {
     "properties": {"num": DECIMAL_STRING, "den": DECIMAL_STRING},
 }
 
-# sha256 of the stdout of three commands, pinned so that a refactor that
-# changes any output byte fails; the same under any PYTHONHASHSEED
+# sha256 of the stdout of five commands, pinned so that a refactor that
+# changes any output byte fails; the same under any PYTHONHASHSEED. The two
+# strata tables after the first cover the text rows and subtuples of several
+# lengths.
 ENVELOPE_SHA256 = {
     ("invariants", "4", "5", "9", "19", "--strata", "--json"):
         "c40c1d6aee9f043d3c17f6a2e4fb384ac2aa93dccc22644fb392e79145f936de",
@@ -33,4 +35,8 @@ ENVELOPE_SHA256 = {
         "f44936894c18d6472e75dd111bcc745b80e052ad98d346cdd929768c0b779e06",
     ("verify-paper", "--json"):
         "9f697441ecd4bdcd061bd39c15110f381aed2c78cc2bb7f6bba758eab97dcd29",
+    ("invariants", "4", "5", "9", "19", "--strata"):
+        "a7c01a8a6e933b669660c4409cf4c7663dba5a4765c0bb776d7f976f1d609e34",
+    ("invariants", "6", "10", "15", "7", "11", "--strata", "--json"):
+        "3632b08b00d066941d17acd5df3d5b0bc3c8bf38b6869804306f0c713c9aff01",
 }

@@ -129,11 +129,9 @@ def per_stratum_mean_euler(a):
     strata = []
     for period, frequency in zip(periods, recurrence_frequencies(periods)):
         indices = tuple(j for j, e in enumerate(a.entries) if period % e == 0)
-        b = a.subtuple(indices)
-        m_t = len(indices)
         mu = sum(2 * q + (r != 0) for q, r in (divmod(period, e) for e in a.entries))
-        strata.append(Stratum(period, indices, b, m_t, 2 * m_t - 3, 2 * m_t - 4,
-                              mu - 2 * period, chi_s1(b), frequency))
+        strata.append(Stratum(period, indices, len(indices), mu - 2 * period,
+                              chi_s1(a.subtuple(indices)), frequency))
     d = a.d
     total = 2 * (sum(d // e for e in a.entries) - d)
     numerator = sum(s.frequency * s.chi_s1 for s in strata)

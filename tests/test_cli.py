@@ -110,6 +110,19 @@ def test_criterion_too_short_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    (["--cap-subsets", "-1"], None, "limit subset_cap must be nonnegative"),
+    ([], "abc", "BK_CAP_SUBSETS must be an integer"),
+], ids=["flag", "env"])
+def test_criterion_invalid_limit_exits_2(capsys, monkeypatch, flag, env, message):
+    # the criterion applies no limit, but refuses an invalid one as every command does
+    if env is not None:
+        monkeypatch.setenv("BK_CAP_SUBSETS", env)
+    code, out, err = run(capsys, "criterion", "4", "5", "9", "19", *flag)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # ----------------------------------------------------------- invariants
 
 
@@ -413,9 +426,14 @@ def test_search_unwritable_path_exits_1(tmp_path, capsys):
 # ------------------------------------------------------- byte identity
 
 
+def _pin_id(argv):
+    # the command name for the first pin of a command, the whole argv after it
+    first = next(pinned for pinned in ENVELOPE_SHA256 if pinned[0] == argv[0])
+    return argv[0] if argv == first else " ".join(argv)
+
+
 @pytest.mark.parametrize(
-    "argv", [argv for argv in ENVELOPE_SHA256 if argv[0] != "verify-paper"],
-    ids=lambda argv: argv[0],
+    "argv", [argv for argv in ENVELOPE_SHA256 if argv[0] != "verify-paper"], ids=_pin_id,
 )
 def test_output_bytes_are_pinned(capsys, argv):
     # verify-paper's digest is checked on the end-to-end run of

@@ -15,6 +15,7 @@ import brieskorn.topology
 import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
+from brieskorn.reeb import mean_euler
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import (
     DEFAULT_SEED,
@@ -217,3 +218,24 @@ def test_items_that_read_only_chi_m_build_no_strata():
     # items 2 and 7 read the value off the lattice; item 11 reads strata
     assert built_strata(7, needs=(2,)) == []
     assert built_strata(11) == [(2, 3, 5)]
+
+
+def test_mean_euler_builds_no_tuple_per_stratum(monkeypatch):
+    # a stratum records the positions of its entries, not a tuple of them;
+    # a length-10 tuple of the strata workload's pool
+    t = ExponentTuple((11, 10, 40, 52, 18, 40, 41, 42, 12, 26))
+    made = []
+
+    def counting(name):
+        honest = getattr(ExponentTuple, name)
+
+        def counted(self, *args):
+            made.append(name)
+            return honest(self, *args)
+        return counted
+
+    # subtuple skips the constructor, so both are counted
+    for name in ("subtuple", "__post_init__"):
+        monkeypatch.setattr(ExponentTuple, name, counting(name))
+    assert len(mean_euler(t).strata) == 168
+    assert made == []
