@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import BrieskornError, InvalidInputError, PreconditionError
@@ -87,7 +88,8 @@ def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int]]:
     frequency 1.
     """
     lcm, freq, kap = lattice
-    rows = sorted((lcm[J], freq[J], kap[J]) for J in range(len(lcm) - 1) if freq[J] and J & (J - 1))
+    top = len(lcm) - 1
+    rows = sorted((lcm[J], freq[J], kap[J]) for J in compress(range(top), freq) if J & (J - 1))
     return rows + [(lcm[-1], 1, kap[-1])]
 
 
@@ -134,10 +136,9 @@ def _chi_numerator(lattice: tuple[list[int], ...]) -> int:
     _, freq, kap = lattice
     top = len(kap) - 1
     total = _chi_s1(top.bit_count(), kap[top])
-    for J in range(top):
-        f = freq[J]
-        if f and J & (J - 1):
-            total += f * _chi_s1(J.bit_count(), kap[J])
+    for J in compress(range(top), freq):
+        if J & (J - 1):
+            total += freq[J] * _chi_s1(J.bit_count(), kap[J])
     return total
 
 

@@ -22,10 +22,14 @@ entry instead of rebuilding the graph for every candidate.
 The subset lattice holds, for every subset J of entry positions, the lcm
 of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),
 all from one lcm and one product per subset and two fast Moebius transforms
-("Fourier meets Moebius", Bjorklund et al. 2007). `kappa`, `chi_s1` and the
-Reeb strata of `reeb` all read it; a caller that needs several of these for
-one tuple builds its table once and reads them all from it, so nothing here
-is cached.
+("Fourier meets Moebius", Bjorklund et al. 2007). Its Python loops run once
+per entry position, each over a whole list: the tables double once per
+entry, and each transform step pairs the even entries of a table with the
+odd ones, subtracts one from the other and lays the results out as halves,
+still O(L 2^L) for L entries. `kappa`, `chi_s1` and the Reeb strata of
+`reeb` all read it; a caller that needs several of these for one tuple
+builds its table once and reads them all from it, so nothing here is
+cached.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
+from operator import floordiv, mod, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,6 +57,11 @@ class ExponentTuple:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # a list or range would make the tuple unequal to its tuple-built twin
+        # and unhashable; `make_tuple` takes any iterable
+        if not isinstance(self.entries, tuple):
+            raise InvalidInputError(f"the entries of an exponent tuple must be a tuple, "
+                                    f"got {type(self.entries).__name__}")
         if len(self.entries) < 2:
             raise InvalidInputError(
                 f"an exponent tuple needs at least 2 entries, got {len(self.entries)}"
@@ -289,33 +299,38 @@ def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[in
     dividing lcm(J) is in J), as J(x) is. kappa is the subset Moebius
     transform of the quotients prod // lcm. Each table has 2^L entries, so
     the length is capped before any is allocated.
+
+    The tables are built by doubling: for each entry e the subsets holding
+    it are appended as a second half, so bit j of J stands for entries[j].
+    Each Moebius step transforms position 0, the even entries of a table
+    against the odd ones, and puts the two results one after the other as
+    halves, which moves every position down by one and position 0 to the
+    top; after L steps each position has been at bit 0 once and the order
+    is restored. Every loop runs once per position, over a whole list.
     """
     _require_exponent_tuple(a)
     L, entries = a.length, a.entries
     if L > limits.subset_cap:
         raise CapacityError(f"the subset lattice walks 2^{L} subsets, exceeding the "
                             f"length cap of {limits.subset_cap}")
-    size = 1 << L
-    lcm, kap = [1] * size, [1] * size  # kap holds prod[J] until the quotients replace it
-    for J in range(1, size):  # from J without its lowest position
-        low = J & -J
-        lcm[J] = math.lcm(lcm[J ^ low], entries[low.bit_length() - 1])
-        kap[J] = kap[J ^ low] * entries[low.bit_length() - 1]
-    for J in range(1, size):
-        kap[J], rem = divmod(kap[J], lcm[J])
-        if rem:
-            raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
+    lcm, prod = [1], [1]
+    for e in entries:  # doubling: the new upper half adds e, so bit j stands for entries[j]
+        lcm += [math.lcm(m, e) for m in lcm]
+        prod += [p * e for p in prod]
+    if any(map(mod, prod, lcm)):
+        J = next(J for J, (p, m) in enumerate(zip(prod, lcm)) if p % m)
+        raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
+    kap = list(map(floordiv, prod, lcm))
     for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
         if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
             raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
     d = lcm[-1]
     freq = [d // m - 1 for m in lcm]
-    for i in range(L):
-        bit = 1 << i
-        for base in range(0, size, 2 * bit):
-            for J in range(base, base + bit):
-                freq[J] -= freq[J | bit]
-                kap[J | bit] -= kap[J]
+    for _ in range(L):  # superset transform of freq, subset transform of kap
+        even, odd = freq[0::2], freq[1::2]
+        freq = [*map(sub, even, odd), *odd]
+        even, odd = kap[0::2], kap[1::2]
+        kap = [*even, *map(sub, odd, even)]
     return lcm, freq, kap
 
 

@@ -10,13 +10,21 @@ from itertools import combinations, combinations_with_replacement, product
 from brieskorn.certify import CONCLUSION, NonBrieskornCertificate
 from brieskorn.errors import (
     BrieskornError,
+    CapacityError,
     CertificateFormatError,
     InvalidInputError,
     UnsupportedLengthError,
 )
+from brieskorn.limits import Limits
 from brieskorn.reeb import MeanEulerReport, Stratum
 from brieskorn.serialize import fraction_obj, parse_int, tuple_obj
-from brieskorn.topology import ExponentTuple, SphereKind, SphereVerdict, chi_s1
+from brieskorn.topology import (
+    ExponentTuple,
+    SphereKind,
+    SphereVerdict,
+    _require_exponent_tuple,
+    chi_s1,
+)
 
 
 def set_criterion(a):
@@ -143,6 +151,49 @@ def fraction_connected_sum(values, n):
     # the connected-sum value summed with Fraction arithmetic throughout
     correction = Fraction((-1) ** n, 2)
     return sum(values, start=Fraction(0)) + (len(values) - 1) * correction
+
+
+def loop_subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[int], list[int]]:
+    """lcm[J], freq[J] and kappa[J] for every subset J of entry positions.
+
+    The loop kernel: one lcm and one product per subset, from J without its
+    lowest position, and Moebius transforms that visit every subset once per
+    position. `topology.subset_lattice` must return exactly these tables.
+
+    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
+    have J(x) containing J, the superset Moebius transform of these counts
+    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
+    dividing lcm(J) is in J), as J(x) is. kappa is the subset Moebius
+    transform of the quotients prod // lcm. Each table has 2^L entries, so
+    the length is capped before any is allocated.
+    """
+    _require_exponent_tuple(a)
+    L, entries = a.length, a.entries
+    if L > limits.subset_cap:
+        raise CapacityError(f"the subset lattice walks 2^{L} subsets, exceeding the "
+                            f"length cap of {limits.subset_cap}")
+    size = 1 << L
+    lcm, kap = [1] * size, [1] * size  # kap holds prod[J] until the quotients replace it
+    for J in range(1, size):  # from J without its lowest position
+        low = J & -J
+        lcm[J] = math.lcm(lcm[J ^ low], entries[low.bit_length() - 1])
+        kap[J] = kap[J ^ low] * entries[low.bit_length() - 1]
+    for J in range(1, size):
+        kap[J], rem = divmod(kap[J], lcm[J])
+        if rem:
+            raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
+    for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
+        if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
+            raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
+    d = lcm[-1]
+    freq = [d // m - 1 for m in lcm]
+    for i in range(L):
+        bit = 1 << i
+        for base in range(0, size, 2 * bit):
+            for J in range(base, base + bit):
+                freq[J] -= freq[J | bit]
+                kap[J | bit] -= kap[J]
+    return lcm, freq, kap
 
 
 def alternating_kappa(entries):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brieskorn.errors import CapacityError, InvalidInputError, UnsupportedLengthError
+from brieskorn import topology
+from brieskorn.errors import (
+    BrieskornError,
+    CapacityError,
+    InvalidInputError,
+    UnsupportedLengthError,
+)
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.topology import (
     ExponentTuple,
@@ -21,7 +27,12 @@ from brieskorn.topology import (
     sphere_kind,
     subset_lattice,
 )
-from oracles import alternating_kappa, brieskorn_pham_kappa, set_criterion
+from oracles import (
+    alternating_kappa,
+    brieskorn_pham_kappa,
+    loop_subset_lattice,
+    set_criterion,
+)
 
 small_tuples = st.lists(
     st.integers(min_value=2, max_value=30), min_size=2, max_size=6
@@ -57,6 +68,18 @@ def test_make_tuple_rejects_short():
 def test_make_tuple_rejects_non_integers():
     with pytest.raises(InvalidInputError, match="index 0"):
         make_tuple([2.0, 3])
+
+
+@pytest.mark.parametrize("entries", [[4, 5, 9, 19], range(2, 5), "45"],
+                         ids=["list", "range", "str"])
+def test_exponent_tuple_refuses_entries_that_are_not_a_tuple(entries):
+    # a list-built tuple would be unequal to its tuple-built twin and unhashable
+    with pytest.raises(InvalidInputError) as exc:
+        ExponentTuple(entries)
+    assert str(exc.value) == (f"the entries of an exponent tuple must be a tuple, "
+                              f"got {type(entries).__name__}")
+    built = make_tuple(range(2, 5))
+    assert built == ExponentTuple((2, 3, 4)) and hash(built) == hash(ExponentTuple((2, 3, 4)))
 
 
 def test_canonical_sorts_entries():
@@ -199,6 +222,61 @@ def test_criterion_permutation_invariant(entries):
         for p in set(permutations(entries))
     }
     assert len(kinds) == 1
+
+
+# --------------------------------------------------- subset lattice
+
+LATTICE_INPUTS = [
+    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29),
+    (2, 4, 6, 12),
+    (6, 10, 15, 7, 11),
+    (17, 257, 65537, 4294967297),  # Fermat F2..F5: the products are big integers
+]
+
+
+@pytest.mark.parametrize("entries", LATTICE_INPUTS, ids=str)
+def test_lattice_matches_the_loop_kernel(entries):
+    t = ExponentTuple(entries)
+    assert subset_lattice(t, DEFAULT_LIMITS) == loop_subset_lattice(t, DEFAULT_LIMITS)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=2, max_size=12))
+def test_lattice_matches_the_loop_kernel_on_drawn_tuples(entries):
+    # entries up to 60 repeat and share factors, so most subsets are not closed
+    t = ExponentTuple(tuple(entries))
+    assert subset_lattice(t, DEFAULT_LIMITS) == loop_subset_lattice(t, DEFAULT_LIMITS)
+
+
+def _planted_lcm(monkeypatch, wrong):
+    # math.lcm as the lattice calls it, with `wrong(m, e, lcm)` in its place
+    real = math.lcm
+    monkeypatch.setattr(topology.math, "lcm", lambda m, e: wrong(m, e, real(m, e)))
+
+
+def test_lattice_refuses_an_lcm_that_does_not_divide_the_product(monkeypatch):
+    # lcm(4, 5, 9) = 180 read as 360, which does not divide 4 * 5 * 9
+    _planted_lcm(monkeypatch, lambda m, e, r: 2 * r if r == 180 else r)
+    with pytest.raises(BrieskornError) as exc:
+        subset_lattice(make_tuple([4, 5, 9, 19]), DEFAULT_LIMITS)
+    assert str(exc.value) == "lcm does not divide the product on subset 111 of (4, 5, 9, 19)"
+
+
+def test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd(monkeypatch):
+    # lcm(4, 6) read as their product 24: every product still divides, but
+    # the pair's quotient is 1, not gcd(4, 6) = 2
+    _planted_lcm(monkeypatch, lambda m, e, r: m * e if {m, e} == {4, 6} else r)
+    with pytest.raises(BrieskornError) as exc:
+        subset_lattice(make_tuple([4, 6, 5, 7]), DEFAULT_LIMITS)
+    assert str(exc.value) == "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)"
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_lattice_takes_one_lcm_per_nonempty_subset(monkeypatch, length):
+    calls = []
+    _planted_lcm(monkeypatch, lambda m, e, r: calls.append((m, e)) or r)
+    subset_lattice(ExponentTuple(tuple(range(2, 2 + length))), DEFAULT_LIMITS)
+    assert len(calls) == 2**length - 1
 
 
 # ------------------------------------------------------------ kappa
