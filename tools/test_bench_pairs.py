@@ -1,0 +1,96 @@
+"""The paired comparison of tools/bench_pairs.py on canned runs.
+
+    python3 -m pytest tools
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import bench_pairs as bp  # noqa: E402
+
+METRICS = {"wall_s": {"better": "lower", "bound": 0.25},
+           "ops_per_s": {"better": "higher", "bound": 0.25}}
+
+
+def runs(walls: list[float]) -> list[dict]:
+    # one run per wall time, with ops_per_s = 10 / wall_s
+    return [{"metrics": {"wall_s": {"value": w, "unit": "s"},
+                         "ops_per_s": {"value": 10 / w, "unit": "1/s"}}} for w in walls]
+
+
+PARENT = [0.50, 0.52, 0.48, 0.51, 0.49, 0.50, 0.53, 0.47, 0.50, 0.52]
+CHANGE = [0.40, 0.41, 0.39, 0.42, 0.40, 0.50, 0.41, 0.38, 0.40, 0.43]
+
+
+def test_compare_on_canned_runs():
+    figures = bp.compare(runs(PARENT), runs(CHANGE), METRICS)
+    wall = figures["wall_s"]
+    # statistics.quantiles(n=4), exclusive method, of the sorted parent walls
+    # 0.47 0.48 0.49 0.50 0.50 0.50 0.51 0.52 0.52 0.53
+    assert wall["parent_median"] == pytest.approx(0.50)
+    assert wall["parent_q1"] == pytest.approx(0.4875)
+    assert wall["parent_q3"] == pytest.approx(0.52)
+    assert wall["parent_iqr"] == pytest.approx(0.0325)
+    assert wall["change_median"] == pytest.approx(0.405)
+    assert wall["pairs"] == 10
+    assert wall["change_wins"] == 9  # the sixth pair is a tie, which counts for neither
+    assert wall["ratio"] == pytest.approx(0.50 / 0.405)
+    assert wall["pair_ratios"] == pytest.approx([p / c for p, c in zip(PARENT, CHANGE)])
+    assert wall["change_vs_parent"] == pytest.approx(0.405 / 0.50 - 1)
+    assert wall["gain"] == pytest.approx(0.095)
+    assert wall["gain_met"]
+    ops = figures["ops_per_s"]
+    assert ops["change_wins"] == 9
+    # the median of 10 / wall, not 10 / the median wall: middle walls 0.40, 0.41
+    assert ops["gain"] == pytest.approx((10 / 0.40 + 10 / 0.41) / 2 - 10 / 0.50)
+    assert ops["gain_met"]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr():
+    eight_wins = CHANGE[:4] + [0.50, 0.51] + CHANGE[6:]
+    assert bp.compare(runs(PARENT), runs(eight_wins), METRICS)["wall_s"]["change_wins"] == 8
+    assert not bp.gain_met(bp.compare(runs(PARENT), runs(eight_wins), METRICS)["wall_s"])
+    # ten wins by 0.01 each: the medians are 0.01 apart, inside the parent IQR of 0.0325
+    close = [p - 0.01 for p in PARENT]
+    wall = bp.compare(runs(PARENT), runs(close), METRICS)["wall_s"]
+    assert wall["change_wins"] == 10
+    assert not wall["gain_met"]
+
+
+def test_within_parent_iqr():
+    slower = [p + 0.03 for p in PARENT]
+    assert bp.compare(runs(PARENT), runs(slower), METRICS)["wall_s"]["within_parent_iqr"]
+    slower = [p + 0.04 for p in PARENT]
+    assert not bp.compare(runs(PARENT), runs(slower), METRICS)["wall_s"]["within_parent_iqr"]
+    assert bp.compare(runs(PARENT), runs(CHANGE), METRICS)["wall_s"]["within_parent_iqr"]
+
+
+def test_regression_against_the_bound():
+    # the parent's IQR is 0.0325 of a 0.50 median (6.5%), inside a 25% bound
+    wall = bp.compare(runs(PARENT), runs([p * 1.2 for p in PARENT]), METRICS)["wall_s"]
+    assert (wall["regression"], wall["within_parent_iqr"]) == ("within bound", False)
+    wall = bp.compare(runs(PARENT), runs([p * 1.3 for p in PARENT]), METRICS)["wall_s"]
+    assert wall["regression"] == "worse"
+    # ops_per_s is better higher: 10 / (1.3 wall) is 23% lower, inside the bound
+    assert bp.compare(runs(PARENT), runs([p * 1.3 for p in PARENT]),
+                      METRICS)["ops_per_s"]["regression"] == "within bound"
+    # a 5% bound is narrower than the parent's own spread
+    tight = {"wall_s": {"better": "lower", "bound": 0.05}}
+    assert bp.compare(runs(PARENT), runs(PARENT), tight)["wall_s"]["regression"] == "unresolved"
+    # unless every change run reads better than every parent run
+    faster = bp.compare(runs(PARENT), runs([w - 0.1 for w in PARENT]), tight)["wall_s"]
+    assert faster["all_change_runs_better"]
+    assert faster["regression"] == "within bound"
+
+
+def test_sides_alternate_seed_by_seed():
+    assert [bp.order(seed) for seed in (1, 2, 3, 41)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("parent", "change")]
+    assert bp.parse_seeds("1-3") == [1, 2, 3]
+    assert bp.parse_seeds("4,9") == [4, 9]
