@@ -107,11 +107,10 @@ def _build_strata(
         # a period is an lcm of >= 2 entries, so at least those entries divide it
         if m_t < 2:
             raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
-        # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e)
+        # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e); an entry
+        # not dividing T adds an odd term, so mu has the parity of L - m_t
+        # (verify-paper item 6 checks that on every stratum it reads)
         mu = sum([T // e - -T // e for e in entries]) - 2 * T
-        # Each exponent not dividing T contributes an odd floor+ceil term.
-        if (mu - (L - m_t)) % 2 != 0:
-            raise BrieskornError(f"index parity fails for {a} at period {T}: mu_RS = {mu}")
         strata.append(Stratum(T, indices, m_t, mu, _chi_s1(m_t, kappa), frequency))
     return tuple(strata)
 
