@@ -33,7 +33,7 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
-from .topology import SPHERE_KINDS, ExponentTuple, _verdict, sphere_kind
+from .topology import SPHERE_KINDS, ExponentTuple, _verdict, gcd_masks, sphere_kind
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
 
@@ -139,13 +139,7 @@ def enumerate_sphere_tuples(
             f"the budget of {limits.search_budget}"
         )
     values = range(2, max_exponent + 1)
-    # shares[x]: bit y set iff gcd(x, y) >= 2
-    shares = [0] * (max_exponent + 1)
-    for x in values:
-        for y in range(x, max_exponent + 1):
-            if math.gcd(x, y) >= 2:
-                shares[x] |= 1 << y
-                shares[y] |= 1 << x
+    shares = gcd_masks(max_exponent)
     out = []
     # prefixes still to extend, the next one on top; each with its masks
     stack: list[tuple[tuple[int, ...], list[int]]] = [((), [])]

@@ -131,6 +131,19 @@ def _adjacency(entries: Sequence[int]) -> list[int]:
     return adj
 
 
+def gcd_masks(max_value: int) -> list[int]:
+    """Gamma on the values 2..max_value, one bit mask per value and indexed
+    by it: bit y of entry x is set iff gcd(x, y) >= 2, so each value is
+    adjacent to itself. One gcd per pair of values."""
+    shares = [0] * (max_value + 1)
+    for x in range(2, max_value + 1):
+        for y in range(x, max_value + 1):
+            if math.gcd(x, y) >= 2:
+                shares[x] |= 1 << y
+                shares[y] |= 1 << x
+    return shares
+
+
 def _bits(mask: int) -> list[int]:
     # the positions of the set bits, ascending
     out = []

@@ -16,7 +16,7 @@ from brieskorn.errors import (
     UnsupportedLengthError,
 )
 from brieskorn.limits import Limits
-from brieskorn.reeb import MeanEulerReport, Stratum
+from brieskorn.reeb import MeanEulerReport, Stratum, has_isolated_exponent, total_rs_index
 from brieskorn.serialize import fraction_obj, parse_int, tuple_obj
 from brieskorn.topology import (
     ExponentTuple,
@@ -228,6 +228,19 @@ def pairwise_isolated_exponent(entries):
         all(math.gcd(e, f) == 1 for j, f in enumerate(entries) if j != i)
         for i, e in enumerate(entries)
     )
+
+
+def per_tuple_isolated_census(max_entry):
+    # verify-paper item 10's census tuple by tuple: every sorted 4-tuple over
+    # [2, max_entry] built as an ExponentTuple and read by the library; how
+    # many have an isolated exponent, and the set of those of total index 0
+    isolated, zero_index = 0, set()
+    for entries in combinations_with_replacement(range(2, max_entry + 1), 4):
+        t = ExponentTuple(entries)
+        isolated += has_isolated_exponent(t)
+        if total_rs_index(t) == 0:
+            zero_index.add(entries)
+    return isolated, zero_index
 
 
 def certificate_to_obj(cert):

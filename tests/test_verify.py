@@ -26,8 +26,10 @@ from brieskorn.verify import (
     _item_7_sphere_enumeration,
     _item_8_frequency_oracle,
     _item_9_fermat_suite,
+    _item_10_isolated_exponent,
+    _isolated_census,
 )
-from oracles import naive_frequencies, subset_periods
+from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
 from verify_faults import FAULTS, replace_everywhere, run_case
 
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
@@ -109,6 +111,33 @@ def test_item_9_fails_when_a_fermat_number_is_wrong(monkeypatch):
                         lambda k, limits: honest(k, limits) + 2 * (k == 5))
     with pytest.raises(BrieskornError, match="recursion fails at index 5"):
         _item_9_fermat_suite(DEFAULT_LIMITS, {})
+
+
+# ------------------------------------------------ item 10 by prefix
+
+
+# the census at 30 is compared with the per-tuple loop in
+# tests/test_acceptance.py criterion 10, which walks that range once
+@pytest.mark.parametrize("max_entry", range(2, 17))
+def test_isolated_census_matches_the_per_tuple_loop(max_entry):
+    isolated, zero_index = _isolated_census(max_entry)
+    assert len(set(zero_index)) == len(zero_index)
+    assert (isolated, set(zero_index)) == per_tuple_isolated_census(max_entry)
+
+
+def test_item_10_builds_a_tuple_only_per_solved_tuple_and_anchor(monkeypatch):
+    # the 13 tuples of total index 0 over [2, 30], the sphere (4, 5, 9, 19)
+    # and (2, 4, 6, 12), which is also a solved tuple
+    made = []
+    honest = ExponentTuple.__post_init__
+    monkeypatch.setattr(ExponentTuple, "__post_init__",
+                        lambda self: made.append(self.entries) or honest(self))
+    passed, detail = _item_10_isolated_exponent(DEFAULT_LIMITS, {})
+    assert passed, detail
+    solved = _isolated_census(30)[1]
+    assert len(solved) == 13
+    assert len(made) <= len(solved) + 2
+    assert set(made) == {*solved, (4, 5, 9, 19)}
 
 
 # ------------------------------------------------------ planted faults

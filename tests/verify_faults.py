@@ -95,6 +95,8 @@ FAULTS = [
     ("fermat-number", 9, (), "brieskorn.families.fermat_number",
      lambda honest: lambda k, limits: honest(k, limits) + 2 * (k == 5)),
     ("total-index", 10, (), "brieskorn.reeb.total_rs_index", lambda honest: lambda a: 0),
+    ("isolated-exponent", 10, (), "brieskorn.reeb.has_isolated_exponent",
+     lambda honest: lambda a: True),
     ("stratum-frequency", 11, (), "brieskorn.reeb._build_strata",
      _shift_first_stratum("frequency")),
 ]
