@@ -3,10 +3,12 @@
 Each item recomputes one of the package's reference results from scratch
 and reports pass/fail. Items 6 and 7 record the strata frequencies of the
 tuples they build in the run's context, and item 8 compares those with its
-oracles instead of building the same subset lattices again. Items that read
-only the value of chi_m take it from the lattice sum (`reeb.chi_m`) and
-build no strata. Item 10 sweeps sorted prefixes and builds a tuple only
-where the last entry makes the total index 0. Everything is exact
+oracles instead of building the same subset lattices again: the claiming
+count and Moebius inversion on the poset of the tuple's periods, which
+take their periods from a subset walk of their own. Items that read only
+the value of chi_m take it from the lattice sum (`reeb.chi_m`) and build
+no strata. Item 10 sweeps sorted prefixes and builds a tuple only where
+the last entry makes the total index 0. Everything is exact
 arithmetic, so every check is an equality at tolerance zero; the only
 inequalities are the stated runtime budgets. The random sample in item 6
 is seeded, so the whole suite is deterministic.
@@ -23,7 +25,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .certify import certify_non_brieskorn_pairs, distinctness_classes, enumerate_sphere_tuples
-from .errors import CapacityError
 from .exactarith import dominance_check, dominance_margin
 from .families import (
     CHI_DENOMINATOR,
@@ -57,10 +58,6 @@ from .topology import (
 
 DEFAULT_SEED = 20250707
 
-# Largest antichain `_inclusion_exclusion_frequencies` sums over; the sum
-# has 2^size terms.
-_ANTICHAIN_CAP = 24
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -82,11 +79,11 @@ class SuiteResult:
 
 
 def _direct_frequencies(periods: Sequence[int]) -> list[int]:
-    # Direct counting oracle, independent of the inclusion-exclusion oracle
-    # below and of the subset lattice behind `reeb.frequencies`: the periods
-    # claim the positions below the top period d from largest to smallest, so
-    # each multiple is counted once, by the largest period dividing it, which
-    # is "multiples of T below d that no larger period divides". One byte per
+    # Direct counting oracle, independent of the recurrence below and of the
+    # subset lattice behind `reeb.frequencies`: the periods claim the
+    # positions below the top period d from largest to smallest, so each
+    # multiple is counted once, by the largest period dividing it, which is
+    # "multiples of T below d that no larger period divides". One byte per
     # position below d; the filter d <= 10^6 in item 8 keeps that at most 1 MB.
     top = periods[-1]
     claimed = bytearray(top)
@@ -98,36 +95,33 @@ def _direct_frequencies(periods: Sequence[int]) -> list[int]:
     return out
 
 
-def _inclusion_exclusion_frequencies(periods: Sequence[int]) -> list[int]:
-    # Inclusion-exclusion oracle, independent of the subset lattice and of
-    # the claiming count above: a larger period U divides a*T iff the
-    # reduced modulus U // gcd(U, T) divides a, so the multiples of T below
-    # d that avoid every larger period are a signed subset sum over those
-    # moduli. A modulus that another one divides excludes nothing more, so
-    # only the divisibility-minimal ones (an antichain) enter the sum.
+def _recurrence_frequencies(periods: Sequence[int]) -> list[int]:
+    """Frequency of each of `periods`, by Moebius inversion on the poset of
+    the periods ordered by divisibility, from the top period d down:
+
+        f(T) = (d - 1) // T - sum(f(U) for the periods T < U < d with T | U)
+
+    The periods must be sorted and closed under lcm, as the subset walk of
+    item 8 makes them. Then the periods dividing a multiple x of T below d
+    have their lcm among the periods: the largest period dividing x, a
+    multiple of T below d. So the (d - 1) // T multiples of T split by that
+    period U, and f(U) of them go to each U. Inverting the sum over the
+    poset is the general form of inclusion-exclusion (Rota, 1964); it needs
+    no divisibility test between the larger periods and no cap on their
+    number. Independent of the subset lattice and of the claiming count.
+    """
     top = periods[-1]
-    out = []
-    for i, t in enumerate(periods[:-1]):
-        antichain: list[int] = []
-        for q in sorted({u // math.gcd(u, t) for u in periods[i + 1 :]}):
-            for p in antichain:  # ascending, so divisors came first
-                if not q % p:
-                    break
-            else:
-                antichain.append(q)
-        if len(antichain) > _ANTICHAIN_CAP:
-            raise CapacityError(
-                f"inclusion-exclusion antichain has {len(antichain)} elements "
-                f"at period {t}, exceeding the cap of {_ANTICHAIN_CAP}"
-            )
-        # floor(floor(n / t) / m) == floor(n / (t * m)), so t divides once
-        bound = (top - 1) // t
-        total = bound  # the empty subset
-        for k in range(1, len(antichain) + 1):
-            terms = sum([bound // math.lcm(*subset) for subset in combinations(antichain, k)])
-            total += -terms if k & 1 else terms
-        out.append(total)
-    return out + [1]
+    above: list[tuple[int, int]] = []  # (U, f(U)) for the periods done so far
+    out = [1]
+    for t in reversed(periods[:-1]):
+        f = (top - 1) // t
+        for u, g in above:
+            if not u % t:
+                f -= g
+        above.append((t, f))
+        out.append(f)
+    out.reverse()
+    return out
 
 
 def _item_1_sigma4_both_routes(limits: Limits, ctx: dict) -> tuple[bool, str]:
@@ -249,11 +243,12 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
         periods = sorted({math.lcm(*s) for s in subsets})
         if not (
             lattice_frequencies
-            == _inclusion_exclusion_frequencies(periods)
+            == _recurrence_frequencies(periods)
             == _direct_frequencies(periods)
         ):
             return False, f"frequency mismatch for {t}"
         checked += 1
+    # the recurrence is inclusion-exclusion in its general form, on the period poset
     return True, (
         f"{checked} tuples with d <= 10^6: subset lattice, inclusion-exclusion "
         "and direct count agree"

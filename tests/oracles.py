@@ -25,6 +25,7 @@ from brieskorn.topology import (
     _require_exponent_tuple,
     chi_s1,
 )
+from brieskorn.verify import _recurrence_frequencies
 
 
 def set_criterion(a):
@@ -115,27 +116,12 @@ def subset_periods(entries):
     return sorted({math.lcm(*s) for s in subsets})
 
 
-def recurrence_frequencies(periods):
-    # periods closed under lcm, as subset_periods returns them: the d/T - 1
-    # multiples of T below the top period d split by the largest period
-    # dividing them, a multiple of T below d, so from the largest period down
-    #     freq(T) = (d/T - 1) - sum(freq(U) for periods T < U < d with T | U)
-    top = periods[-1]
-    out = [1] * len(periods)
-    for i in range(len(periods) - 2, -1, -1):
-        t = periods[i]
-        out[i] = top // t - 1 - sum(
-            out[j] for j in range(i + 1, len(periods) - 1) if periods[j] % t == 0
-        )
-    return out
-
-
 def per_stratum_mean_euler(a):
     # mean_euler stratum by stratum: subset-walk periods, the recurrence for
     # their frequencies, and one chi_s1 (hence kappa) call per stratum
     periods = subset_periods(a.entries)
     strata = []
-    for period, frequency in zip(periods, recurrence_frequencies(periods)):
+    for period, frequency in zip(periods, _recurrence_frequencies(periods)):
         indices = tuple(j for j, e in enumerate(a.entries) if period % e == 0)
         mu = sum(2 * q + (r != 0) for q, r in (divmod(period, e) for e in a.entries))
         strata.append(Stratum(period, indices, len(indices), mu - 2 * period,

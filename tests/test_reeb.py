@@ -32,7 +32,7 @@ from brieskorn.topology import (
     pairwise_coprime,
     subset_lattice,
 )
-from brieskorn.verify import _inclusion_exclusion_frequencies
+from brieskorn.verify import _recurrence_frequencies
 from oracles import (
     alternating_kappa,
     brieskorn_pham_kappa,
@@ -229,10 +229,10 @@ def test_frequencies_match_naive_oracle(t):
 
 @given(wide_tuples)
 @settings(max_examples=60)
-def test_frequencies_match_counting_kernel(t):
-    # no bound on d: the inclusion-exclusion oracle covers the tuples with
-    # d > 10^5 that the naive oracle above skips
-    assert frequencies(t) == _inclusion_exclusion_frequencies(subset_periods(t.entries))
+def test_frequencies_match_the_recurrence(t):
+    # no bound on d: the period recurrence covers the tuples with d > 10^5
+    # that the naive oracle above skips
+    assert frequencies(t) == _recurrence_frequencies(subset_periods(t.entries))
 
 
 # ------------------------------------------------------- mean euler

@@ -325,3 +325,61 @@ def test_package_all_lists_exactly_the_public_names():
         for name in all_mismatches(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# item 8 of verify-paper compares the subset lattice with two oracles; they
+# are a second route only while they read nothing from the package
+ORACLES = ("_direct_frequencies", "_recurrence_frequencies")
+
+
+def package_names_in(source: str, functions=ORACLES, package: str = "brieskorn") -> list[int]:
+    """Lines inside the definitions of `functions` that use a name the module
+    imports from `package` (by a relative or absolute import)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == package
+        ):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names
+                if alias.name.partition(".")[0] == package
+            )
+    return sorted(
+        inner.lineno
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id in imported
+    )
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("import math\ndef _recurrence_frequencies(p):\n    return math.lcm(*p)", []),
+        ("from .reeb import frequencies\ndef _item_8(t):\n    return frequencies(t)", []),
+        ("from .reeb import frequencies\ndef _recurrence_frequencies(p):\n"
+         "    return frequencies(p)", [3]),
+        ("from brieskorn.topology import subset_lattice as sl\n"
+         "def _direct_frequencies(p):\n    return sl(p)[1]", [3]),
+        ("import brieskorn.reeb\ndef _direct_frequencies(p):\n"
+         "    return brieskorn.reeb.frequencies(p)", [3]),
+        ("from .topology import ExponentTuple\n"
+         "def _direct_frequencies(p, t=ExponentTuple):\n    return p", [2]),
+    ],
+)
+def test_oracle_independence_rule(source, lines):
+    assert package_names_in(source) == lines
+
+
+def test_item_8_oracles_read_nothing_from_the_package():
+    # the claiming count and the period recurrence use only the periods and
+    # the standard library, so they stay off the subset lattice they check
+    source = (Path(brieskorn.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLES) <= defined
+    assert package_names_in(source) == []

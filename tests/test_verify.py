@@ -14,13 +14,13 @@ import brieskorn.families
 import brieskorn.topology
 import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
+from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import DEFAULT_LIMITS, Limits
-from brieskorn.reeb import mean_euler
+from brieskorn.reeb import frequencies, mean_euler
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import (
     DEFAULT_SEED,
     _direct_frequencies,
-    _inclusion_exclusion_frequencies,
     _item_2_closed_form_agreement,
     _item_6_parity_and_signs,
     _item_7_sphere_enumeration,
@@ -28,6 +28,7 @@ from brieskorn.verify import (
     _item_9_fermat_suite,
     _item_10_isolated_exponent,
     _isolated_census,
+    _recurrence_frequencies,
 )
 from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
 from verify_faults import FAULTS, replace_everywhere, run_case
@@ -35,8 +36,8 @@ from verify_faults import FAULTS, replace_everywhere, run_case
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
     "oracle",
-    [_direct_frequencies, _inclusion_exclusion_frequencies],
-    ids=["direct", "inclusion_exclusion"],
+    [_direct_frequencies, _recurrence_frequencies],
+    ids=["direct", "recurrence"],
 )
 
 
@@ -61,21 +62,40 @@ def test_frequency_oracle_matches_naive_oracle(oracle):
     assert checked >= 100
 
 
-def test_inclusion_exclusion_caps_its_antichain(monkeypatch):
-    monkeypatch.setattr(brieskorn.verify, "_ANTICHAIN_CAP", 1)
-    # 4 and 8 are multiples of 2, so at T = 2 the antichain is just {2}
-    assert _inclusion_exclusion_frequencies([2, 4, 8]) == [2, 1, 1]
-    # at T = 6 the reduced moduli of the larger periods give the antichain {5, 7}
-    with pytest.raises(CapacityError, match="cap of 1"):
-        _inclusion_exclusion_frequencies(subset_periods((2, 3, 5, 7)))
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (2, 3, 5, 7, 11, 13, 17, 19, 23, 29),  # 1,013 periods, d > 10^9
+        (6, 10, 15, 7, 11),
+        (5, 19, 2, 21, 11, 9),  # 57 periods, the longest list of item 8's pool
+    ],
+    ids=["ten-primes", "6-10-15-7-11", "longest-in-item-8"],
+)
+def test_recurrence_on_long_period_lists(entries):
+    t = ExponentTuple(entries)
+    periods = subset_periods(entries)
+    got = _recurrence_frequencies(periods)
+    assert got == frequencies(t)
+    if t.d <= 10**6:
+        assert got == _direct_frequencies(periods)
+
+
+def test_the_longest_list_of_item_8_has_57_periods(suite_ctx):
+    # item 8's pool, as `_item_8_frequency_oracle` builds it
+    pool = [ExponentTuple((4, 5, 9, 19)), ExponentTuple((2, 3, 5))]
+    pool += [sigma_m_tuple(m) for m in range(4, 201)]
+    pool += suite_ctx["random_tuples"] + suite_ctx["sphere_tuples_20"]
+    lengths = {len(subset_periods(t.entries)): t.entries for t in pool if t.d <= 10**6}
+    assert max(lengths) == 57
+    assert lengths[57] == (5, 19, 2, 21, 11, 9)
 
 
 def test_item_8_fails_when_frequencies_are_off_by_one(monkeypatch):
     passed, _ = _item_8_frequency_oracle(DEFAULT_LIMITS, {})
     assert passed
 
-    # each of the three routes item 8 compares: subset lattice, inclusion-exclusion, direct count
-    for route in ("frequencies", "_inclusion_exclusion_frequencies", "_direct_frequencies"):
+    # each of the three routes item 8 compares: subset lattice, recurrence, direct count
+    for route in ("frequencies", "_recurrence_frequencies", "_direct_frequencies"):
         honest = getattr(brieskorn.verify, route)
 
         def off_by_one(*args, honest=honest):  # (tuple, limits) for the lattice, periods otherwise

@@ -69,6 +69,17 @@ def _frequency_off_by_one(honest):
     return lattice
 
 
+def _oracle_off_by_one(honest):
+    # an item 8 oracle that moves the first frequency of the periods of the
+    # sphere (4, 5, 9, 19), whose top period is 3420, by one
+    def oracle(periods):
+        out = honest(periods)
+        if periods[-1] == 3420:
+            out[0] += 1
+        return out
+    return oracle
+
+
 # (name, item, items whose records it reads, "module.function", fault(honest) -> faulty)
 FAULTS = [
     ("closed-form-of-sigma4", 1, (), "brieskorn.reeb.mean_euler_coprime",
@@ -92,6 +103,10 @@ FAULTS = [
     ("sphere-chi-m-sign", 7, (), "brieskorn.reeb._chi_m", _negated_at_reference),
     ("lattice-frequency", 8, (6, 7), "brieskorn.topology.subset_lattice",
      _frequency_off_by_one),
+    ("recurrence-frequency", 8, (6, 7), "brieskorn.verify._recurrence_frequencies",
+     _oracle_off_by_one),
+    ("direct-count-frequency", 8, (6, 7), "brieskorn.verify._direct_frequencies",
+     _oracle_off_by_one),
     ("fermat-number", 9, (), "brieskorn.families.fermat_number",
      lambda honest: lambda k, limits: honest(k, limits) + 2 * (k == 5)),
     ("total-index", 10, (), "brieskorn.reeb.total_rs_index", lambda honest: lambda a: 0),
