@@ -106,9 +106,8 @@ def _recurrence_frequencies(periods: Sequence[int]) -> list[int]:
     have their lcm among the periods: the largest period dividing x, a
     multiple of T below d. So the (d - 1) // T multiples of T split by that
     period U, and f(U) of them go to each U. Inverting the sum over the
-    poset is the general form of inclusion-exclusion (Rota, 1964); it needs
-    no divisibility test between the larger periods and no cap on their
-    number. Independent of the subset lattice and of the claiming count.
+    poset is the general form of inclusion-exclusion (Rota, 1964).
+    Independent of the subset lattice and of the claiming count.
     """
     top = periods[-1]
     above: list[tuple[int, int]] = []  # (U, f(U)) for the periods done so far
@@ -248,7 +247,7 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
         ):
             return False, f"frequency mismatch for {t}"
         checked += 1
-    # the recurrence is inclusion-exclusion in its general form, on the period poset
+    # "inclusion-exclusion" names the recurrence: its general form, on the period poset
     return True, (
         f"{checked} tuples with d <= 10^6: subset lattice, inclusion-exclusion "
         "and direct count agree"

@@ -332,9 +332,10 @@ def test_package_all_lists_exactly_the_public_names():
 ORACLES = ("_direct_frequencies", "_recurrence_frequencies")
 
 
-def package_names_in(source: str, functions=ORACLES, package: str = "brieskorn") -> list[int]:
-    """Lines inside the definitions of `functions` that use a name the module
-    imports from `package` (by a relative or absolute import)."""
+def package_names_in(source: str, package: str = "brieskorn") -> list[int]:
+    """Lines inside the definitions of the `ORACLES` functions that use a
+    name the module imports from `package` (by a relative or absolute
+    import)."""
     tree = ast.parse(source)
     imported = set()
     for node in tree.body:
@@ -351,7 +352,7 @@ def package_names_in(source: str, functions=ORACLES, package: str = "brieskorn")
     return sorted(
         inner.lineno
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in functions
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLES
         for inner in ast.walk(node)
         if isinstance(inner, ast.Name) and inner.id in imported
     )
