@@ -26,8 +26,8 @@ from typing import Sequence
 from .errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from .exactarith import IntPolynomial
 from .limits import DEFAULT_LIMITS, Limits
-from .reeb import chi_m, connected_sum_chi, mean_euler_coprime
-from .topology import ExponentTuple, SphereKind, pairwise_coprime, sphere_kind
+from .reeb import _chi_m, chi_m, connected_sum_chi, mean_euler_coprime
+from .topology import ExponentTuple, SphereKind, pairwise_coprime, sphere_kind, subset_lattices
 
 # Closed form numerator/denominator for the (m, m+1, 2m+1, 4m+3) family,
 # coefficients ascending.
@@ -81,17 +81,18 @@ def sigma_m_closed_form(m: int) -> Fraction:
 def sigma_family_rows(
     m_low: int, m_high: int, limits: Limits = DEFAULT_LIMITS
 ) -> list[FamilyRow]:
-    """One row per m in [m_low, m_high], all via the general algorithm.
+    """One row per m in [m_low, m_high], all via the general algorithm,
+    whose lattice tables are built in chunks (`subset_lattices`).
 
     Rows with 3 | m carry no closed form: the derivation assumption fails
     there and the general algorithm is the only authority.
     """
     if m_low < 2 or m_high < m_low:
         raise InvalidInputError(f"need 2 <= m_low <= m_high, got [{m_low}, {m_high}]")
+    tuples = [sigma_m_tuple(m) for m in range(m_low, m_high + 1)]
     rows = []
-    for m in range(m_low, m_high + 1):
-        a = sigma_m_tuple(m)
-        value = chi_m(a, limits)
+    for m, a, lattice in zip(range(m_low, m_high + 1), tuples, subset_lattices(tuples, limits)):
+        value = _chi_m(a, lattice)
         coprime = math.gcd(m, 3) == 1
         closed = sigma_m_closed_form(m) if coprime else None
         agrees = (value == closed) if closed is not None else None

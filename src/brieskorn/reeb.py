@@ -22,7 +22,10 @@ of the contact structure and is defined whenever that total index is
 nonzero. `chi_m` reads that sum straight off the table and builds no
 stratum. `mean_euler` also builds each `Stratum` in one loop over the rows,
 with its Robbin-Salamon index found by division, and cross-checks the
-lattice sum against the sum over its strata with the per-stratum signs. A
+lattice sum against the sum over its strata with the per-stratum signs.
+`_chi_m` and `_mean_euler` take a table already built, so a caller with
+many tuples of one length builds their tables a chunk at a time
+(`topology.subset_lattices`) and reads each through them. A
 `Stratum` is a named tuple, so it unpacks in field order and compares equal
 to a plain tuple of its values.
 """
@@ -150,7 +153,8 @@ def chi_m(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> Fraction | None:
 
 def _chi_m(a: ExponentTuple, lattice: tuple[list[int], ...]) -> Fraction | None:
     """`chi_m(a)` from the `subset_lattice` table of `a`, for callers that
-    read other entries of that table too."""
+    read other entries of that table too or build it in a chunk
+    (`subset_lattices`)."""
     total = total_rs_index(a)
     if total == 0:
         return None
@@ -173,7 +177,8 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
 
 def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerReport:
     """`mean_euler(a)` from the `subset_lattice` table of `a`, for callers
-    that read other entries of that table too."""
+    that read other entries of that table too or build it in a chunk
+    (`subset_lattices`)."""
     strata = _build_strata(a, _strata_rows(lattice))
     total = total_rs_index(a)
 

@@ -26,8 +26,11 @@ all from one lcm and one product per subset and two fast Moebius transforms
 per entry position, each over a whole list: the tables double once per
 entry, and each transform step pairs the even entries of a table with the
 odd ones, subtracts one from the other and lays the results out as halves,
-still O(L 2^L) for L entries. `kappa`, `chi_s1` and the Reeb strata of
-`reeb` all read it; a caller that needs several of these for one tuple
+still O(L 2^L) for L entries. `subset_lattices` builds the tables of many
+tuples of one length a chunk at a time, each of those loops running once
+per chunk over every table in it; `subset_lattice` is the same kernel on a
+chunk of one tuple. `kappa`, `chi_s1` and the Reeb strata of `reeb` all
+read the tables; a caller that needs several of these for one tuple
 builds its table once and reads them all from it, so nothing here is
 cached.
 """
@@ -37,9 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
-from operator import floordiv, mod, sub
-from typing import Iterable, Sequence
+from itertools import chain, combinations, combinations_with_replacement, islice
+from operator import floordiv, mod, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BrieskornError,
@@ -303,6 +306,70 @@ def _require_exponent_tuple(a) -> None:
                                 f"got {type(a).__name__}")
 
 
+def _capped_length(a: ExponentTuple, limits: Limits) -> int:
+    # the length of a tuple whose lattice may be built: each table has 2^L
+    # entries, so the cap is applied before any is allocated
+    _require_exponent_tuple(a)
+    if a.length > limits.subset_cap:
+        raise CapacityError(f"the subset lattice walks 2^{a.length} subsets, exceeding the "
+                            f"length cap of {limits.subset_cap}")
+    return a.length
+
+
+# tuples per chunk of `subset_lattices`: chunks of 64-256 build fastest, and
+# one chunk bounds what the generator holds
+_CHUNK = 128
+
+
+def _lattice_chunk(rows: Sequence[tuple[int, ...]]) -> list[tuple[list[int], list[int], list[int]]]:
+    """The `subset_lattice` tables of K entry tuples of one length L, in order.
+
+    Each step runs over the whole chunk. The doubling appends, for each
+    position, the subsets holding it as a second half of every table at
+    once, with entry J of tuple t's table at index t + K*J: one column of
+    entries, repeated. Each check names the tuple it fails on; the quotient
+    check reads one table at a time, as for a lone tuple a loop over the
+    pairs costs less than one list per pair.
+
+    The counts d // lcm[J] - 1 are (d - 1) // lcm[J], as lcm[J] divides d.
+    Reversing a table maps each subset to its complement, so the subset
+    transform of kappa is the superset transform of kappa reversed, and
+    freq and the reversed kappa take the same steps as one list of 2K
+    tables. One transpose lays that list out table by table, so the parity
+    of an index is bit 0 of J, and each step transforms every table at
+    once. After the L steps the tables lie side by side again, entry J of
+    table s at index s + 2K*J: the freq of tuple t is table 2t and its
+    reversed kappa table 2K - 1 - 2t, so each is one slice.
+    """
+    K, L = len(rows), len(rows[0])
+    lcm, prod = [1] * K, [1] * K
+    n = 1
+    for col in zip(*rows):  # doubling: the new upper half adds the column, so bit j stands for entry j
+        col *= n
+        lcm += [*map(math.lcm, lcm, col)]
+        prod += [*map(mul, prod, col)]
+        n += n
+    if any(map(mod, prod, lcm)):
+        i = next(i for i, (p, m) in enumerate(zip(prod, lcm)) if p % m)
+        raise BrieskornError(f"lcm does not divide the product on subset {i // K:b} "
+                             f"of {rows[i % K]}")
+    kap = [*map(floordiv, prod, lcm)]
+    for t, entries in enumerate(rows):  # singletons 1, pairs their gcd
+        q = kap[t::K]
+        for j, k in combinations_with_replacement(range(L), 2):
+            if q[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
+                raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {entries}")
+    x = [*map(floordiv, [d - 1 for d in lcm[-K:]] * n, lcm), *reversed(kap)]
+    if K > 1:  # for one tuple the list is already laid out table by table
+        x = [*chain.from_iterable([x[t::K] for t in range(K)])]
+    for _ in range(L):  # superset transform
+        even, odd = x[0::2], x[1::2]
+        x = [*map(sub, even, odd), *odd]
+    if K == 1:  # a lone table needs no slicing by tuple
+        return [(lcm, x[0::2], x[::-2])]
+    return [(lcm[t::K], x[2 * t::2 * K], x[-1 - 2 * t::-2 * K]) for t in range(K)]
+
+
 def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[int], list[int]]:
     """lcm[J], freq[J] and kappa[J] for every subset J of entry positions.
 
@@ -319,32 +386,35 @@ def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[in
     against the odd ones, and puts the two results one after the other as
     halves, which moves every position down by one and position 0 to the
     top; after L steps each position has been at bit 0 once and the order
-    is restored. Every loop runs once per position, over a whole list.
+    is restored. Every loop runs once per position, over a whole list. This
+    is the kernel of `subset_lattices` on a chunk of one tuple.
     """
-    _require_exponent_tuple(a)
-    L, entries = a.length, a.entries
-    if L > limits.subset_cap:
-        raise CapacityError(f"the subset lattice walks 2^{L} subsets, exceeding the "
-                            f"length cap of {limits.subset_cap}")
-    lcm, prod = [1], [1]
-    for e in entries:  # doubling: the new upper half adds e, so bit j stands for entries[j]
-        lcm += [math.lcm(m, e) for m in lcm]
-        prod += [p * e for p in prod]
-    if any(map(mod, prod, lcm)):
-        J = next(J for J, (p, m) in enumerate(zip(prod, lcm)) if p % m)
-        raise BrieskornError(f"lcm does not divide the product on subset {J:b} of {a}")
-    kap = list(map(floordiv, prod, lcm))
-    for j, k in combinations_with_replacement(range(L), 2):  # singletons 1, pairs their gcd
-        if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
-            raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
-    d = lcm[-1]
-    freq = [d // m - 1 for m in lcm]
-    for _ in range(L):  # superset transform of freq, subset transform of kap
-        even, odd = freq[0::2], freq[1::2]
-        freq = [*map(sub, even, odd), *odd]
-        even, odd = kap[0::2], kap[1::2]
-        kap = [*even, *map(sub, odd, even)]
-    return lcm, freq, kap
+    _capped_length(a, limits)
+    return _lattice_chunk((a.entries,))[0]
+
+
+def subset_lattices(
+    tuples: Iterable[ExponentTuple], limits: Limits
+) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The `subset_lattice` table of each of `tuples`, in order.
+
+    The tuples must all have one length. They are read and built a chunk of
+    `_CHUNK` at a time, each step of the kernel running over the whole
+    chunk, so nothing is held beyond one chunk's tables. The length is
+    capped before the first table is allocated; a tuple of another length,
+    or anything but an `ExponentTuple`, is refused when its chunk is read.
+    """
+    it = iter(tuples)
+    length = None
+    while chunk := list(islice(it, _CHUNK)):
+        if length is None:
+            length = _capped_length(chunk[0], limits)
+        for a in chunk:
+            _require_exponent_tuple(a)
+            if a.length != length:
+                raise InvalidInputError(f"subset_lattices takes tuples of one length, "
+                                        f"got {a} after tuples of length {length}")
+        yield from _lattice_chunk([a.entries for a in chunk])
 
 
 def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -1,17 +1,19 @@
 """End-to-end reproduction suite behind the `verify-paper` CLI command.
 
 Each item recomputes one of the package's reference results from scratch
-and reports pass/fail. Items 6 and 7 record the strata frequencies of the
-tuples they build in the run's context, and item 8 compares those with its
-oracles instead of building the same subset lattices again: the claiming
-count and Moebius inversion on the poset of the tuple's periods, which
-take their periods from a subset walk of their own. Items that read only
-the value of chi_m take it from the lattice sum (`reeb.chi_m`) and build
-no strata. Item 10 sweeps sorted prefixes and builds a tuple only where
-the last entry makes the total index 0. Everything is exact
-arithmetic, so every check is an equality at tolerance zero; the only
-inequalities are the stated runtime budgets. The random sample in item 6
-is seeded, so the whole suite is deterministic.
+and reports pass/fail. Items 6 and 7 build the subset lattices of their
+tuples in chunks of one length (`topology.subset_lattices`) and read each
+table through the `reeb` seams. They record the strata frequencies in the
+run's context, and item 8 compares those with its oracles instead of
+building the same subset lattices again: the claiming count and Moebius
+inversion on the poset of the tuple's periods, which take their periods
+from a subset walk of their own. Items that read only the value of chi_m
+take it from the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table
+already built) and build no strata. Item 10 sweeps sorted prefixes and
+builds a tuple only where the last entry makes the total index 0.
+Everything is exact arithmetic, so every check is an equality at
+tolerance zero; the only inequalities are the stated runtime budgets. The
+random sample in item 6 is seeded, so the whole suite is deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .certify import certify_non_brieskorn_pairs, distinctness_classes, enumerate_sphere_tuples
@@ -39,6 +42,7 @@ from .families import (
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import (
     _chi_m,
+    _mean_euler,
     _strata_rows,
     chi_m,
     frequencies,
@@ -53,7 +57,7 @@ from .topology import (
     _chi_s1,
     gcd_masks,
     sphere_kind,
-    subset_lattice,
+    subset_lattices,
 )
 
 DEFAULT_SEED = 20250707
@@ -187,13 +191,17 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
     ctx["random_tuples"] = tuples
     recorded = ctx.setdefault("frequencies", {})
     checked = 0
-    for t in tuples:
-        report = mean_euler(t, limits)  # raises if the two sign routes differ
-        recorded[tuple(sorted(t.entries))] = [s.frequency for s in report.strata]
-        for s in report.strata:
-            if (s.mu_rs - (t.n + 1 - s.m_t)) % 2 != 0:
-                return False, f"parity violated for {t} at period {s.period}"
-            checked += 1
+    # the lattices are built in chunks of one length (`subset_lattices`)
+    by_length = sorted(tuples, key=attrgetter("length"))
+    for _, group in groupby(by_length, key=attrgetter("length")):
+        group = list(group)
+        for t, lattice in zip(group, subset_lattices(group, limits)):
+            report = _mean_euler(t, lattice)  # raises if the two sign routes differ
+            recorded[tuple(sorted(t.entries))] = [s.frequency for s in report.strata]
+            for s in report.strata:
+                if (s.mu_rs - (t.n + 1 - s.m_t)) % 2 != 0:
+                    return False, f"parity violated for {t} at period {s.period}"
+                checked += 1
     return True, f"{len(tuples)} random tuples, {checked} strata parity-checked"
 
 
@@ -204,8 +212,7 @@ def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
     # each subtuple of two or more positions, with its bit mask in the lattice
     subtuples = [(idx, sum(1 << i for i in idx))
                  for k in (2, 3, 4) for idx in combinations(range(4), k)]
-    for t in spheres:
-        lattice = subset_lattice(t, limits)  # one table per sphere
+    for t, lattice in zip(spheres, subset_lattices(spheres, limits)):  # one table per sphere
         kap = lattice[2]
         for idx, J in subtuples:
             if len(idx) == 3 and kap[J] != 0:

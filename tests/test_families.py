@@ -11,6 +11,7 @@ import pytest
 
 import brieskorn
 import brieskorn.families
+import brieskorn.topology
 from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
 from brieskorn.families import (
     CHI_DENOMINATOR,
@@ -26,7 +27,7 @@ from brieskorn.families import (
     sigma_m_tuple,
 )
 from brieskorn.limits import Limits
-from brieskorn.reeb import mean_euler
+from brieskorn.reeb import chi_m, mean_euler
 from brieskorn.topology import SphereKind, evaluate_criterion, pairwise_coprime
 
 
@@ -97,6 +98,20 @@ def test_family_rows_flag_multiples_of_three():
         sigma_family_rows(1, 5)
     with pytest.raises(InvalidInputError):
         sigma_family_rows(5, 4)
+
+
+def test_family_rows_read_their_tables_in_chunks(monkeypatch):
+    # the 197 rows of verify-paper item 2 through `subset_lattices`: two
+    # chunks, not one table per row
+    chunks = []
+    honest = brieskorn.topology._lattice_chunk
+    monkeypatch.setattr(brieskorn.topology, "_lattice_chunk",
+                        lambda rows: chunks.append(list(rows)) or honest(rows))
+    family = sigma_family_rows(4, 200)
+    assert [len(rows) for rows in chunks] == [brieskorn.topology._CHUNK, 197 - brieskorn.topology._CHUNK]
+    assert [entries for rows in chunks for entries in rows] == [r.exponents.entries for r in family]
+    assert [r.parameter for r in family] == list(range(4, 201))
+    assert [r.chi_m for r in family] == [chi_m(r.exponents) for r in family]
 
 
 def test_derivative_combination_coefficients():

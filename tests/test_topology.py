@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -26,6 +28,7 @@ from brieskorn.topology import (
     pairwise_coprime,
     sphere_kind,
     subset_lattice,
+    subset_lattices,
 )
 from oracles import (
     alternating_kappa,
@@ -271,12 +274,105 @@ def test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd(monkeypatch):
     assert str(exc.value) == "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)"
 
 
+def test_lattices_name_the_tuple_whose_lcm_does_not_divide_the_product(monkeypatch):
+    # the planted lcm of test_lattice_refuses_an_lcm_that_does_not_divide_the_product,
+    # met by the middle tuple of a chunk of three
+    _planted_lcm(monkeypatch, lambda m, e, r: 2 * r if r == 180 else r)
+    ts = [make_tuple(e) for e in ([2, 3, 5, 7], [4, 5, 9, 19], [3, 5, 7, 11])]
+    with pytest.raises(BrieskornError) as exc:
+        list(subset_lattices(ts, DEFAULT_LIMITS))
+    assert str(exc.value) == "lcm does not divide the product on subset 111 of (4, 5, 9, 19)"
+
+
+def test_lattices_name_the_tuple_whose_pair_quotient_is_not_its_gcd(monkeypatch):
+    # the planted lcm of test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd,
+    # met by the middle tuple of a chunk of three
+    _planted_lcm(monkeypatch, lambda m, e, r: m * e if {m, e} == {4, 6} else r)
+    ts = [make_tuple(e) for e in ([2, 3, 5, 7], [4, 6, 5, 7], [3, 5, 7, 11])]
+    with pytest.raises(BrieskornError) as exc:
+        list(subset_lattices(ts, DEFAULT_LIMITS))
+    assert str(exc.value) == "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)"
+
+
 @pytest.mark.parametrize("length", range(2, 11))
 def test_lattice_takes_one_lcm_per_nonempty_subset(monkeypatch, length):
     calls = []
     _planted_lcm(monkeypatch, lambda m, e, r: calls.append((m, e)) or r)
     subset_lattice(ExponentTuple(tuple(range(2, 2 + length))), DEFAULT_LIMITS)
     assert len(calls) == 2**length - 1
+
+
+# ------------------------------------------------ lattices in chunks
+
+CHUNK = topology._CHUNK
+
+
+def drawn_tuples(count: int, length: int, seed: int = 0) -> list[ExponentTuple]:
+    # entries up to 60 repeat and share factors, so many subsets are not closed
+    rng = random.Random(seed)
+    return [ExponentTuple(tuple(rng.randint(2, 60) for _ in range(length)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_lattices_match_the_loop_kernel_across_chunk_ends(count):
+    ts = drawn_tuples(count, 4, seed=count)
+    assert list(subset_lattices(ts, DEFAULT_LIMITS)) == [
+        loop_subset_lattice(t, DEFAULT_LIMITS) for t in ts]
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_lattices_match_the_loop_kernel_at_each_length(length):
+    ts = drawn_tuples(5, length, seed=length)
+    assert list(subset_lattices(iter(ts), DEFAULT_LIMITS)) == [
+        loop_subset_lattice(t, DEFAULT_LIMITS) for t in ts]
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ([ExponentTuple((2, 3, 5)), ExponentTuple((2, 3, 5, 7))],
+         r"one length, got \(2, 3, 5, 7\) after tuples of length 3"),
+        (drawn_tuples(CHUNK, 4) + [ExponentTuple((2, 3))],
+         r"one length, got \(2, 3\) after tuples of length 4"),
+        ([ExponentTuple((2, 3, 5)), (2, 3, 5)], "takes an ExponentTuple, got tuple"),
+        ([[2, 3, 5, 7]], "takes an ExponentTuple, got list"),
+    ],
+    ids=["mixed-lengths", "mixed-lengths-in-the-second-chunk", "a-plain-tuple", "a-plain-list"],
+)
+def test_lattices_refuse_what_is_not_one_length_of_exponent_tuples(items, message):
+    with pytest.raises(InvalidInputError, match=message):
+        list(subset_lattices(items, DEFAULT_LIMITS))
+
+
+def test_lattices_cap_the_length_before_allocating():
+    # 17 entries against a cap of 16: each table would hold 2^17 entries,
+    # over 1 MB, so the peak of a check made after allocating shows
+    limits = Limits(subset_cap=16)
+    ts = [ExponentTuple(tuple(range(2, 19)))] * 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cap of 16"):
+            next(subset_lattices(ts, limits))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_lattices_build_one_chunk_at_a_time(monkeypatch):
+    # after the first table, at most one chunk of tuples has been read and
+    # built, so what the generator holds does not grow with its input
+    lcm_calls, read = [], []
+    _planted_lcm(monkeypatch, lambda m, e, r: lcm_calls.append((m, e)) or r)
+    ts = drawn_tuples(3 * CHUNK + 1, 4)
+    tables = subset_lattices((read.append(t) or t for t in ts), DEFAULT_LIMITS)
+    assert lcm_calls == [] and read == []  # a generator: nothing runs before the first table
+    first = next(tables)
+    assert len(read) == CHUNK
+    assert len(lcm_calls) == CHUNK * (2**4 - 1)  # one lcm per nonempty subset
+    assert sum(1 for _ in tables) == 3 * CHUNK
+    assert first == loop_subset_lattice(ts[0], DEFAULT_LIMITS)
 
 
 # ------------------------------------------------------------ kappa

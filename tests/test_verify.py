@@ -11,6 +11,7 @@ import pytest
 
 import brieskorn
 import brieskorn.families
+import brieskorn.reeb
 import brieskorn.topology
 import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
@@ -32,6 +33,8 @@ from brieskorn.verify import (
 )
 from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
 from verify_faults import FAULTS, replace_everywhere, run_case
+
+CHUNK = brieskorn.topology._CHUNK
 
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
@@ -211,14 +214,51 @@ def suite_ctx():
     return ctx
 
 
+def chunks_built(monkeypatch) -> list[list[tuple[int, ...]]]:
+    """The entry tuples of each chunk `brieskorn.topology._lattice_chunk`
+    builds, the kernel behind `subset_lattice` and `subset_lattices`."""
+    chunks = []
+    honest = brieskorn.topology._lattice_chunk
+
+    def counted(rows):
+        chunks.append(list(rows))
+        return honest(rows)
+
+    replace_everywhere(monkeypatch, honest, counted)
+    return chunks
+
+
 def test_item_7_builds_one_lattice_per_sphere_and_calls_no_kappa(monkeypatch):
-    lattices, kappas = calls_to(monkeypatch, "subset_lattice"), calls_to(monkeypatch, "kappa")
+    # one table per sphere, in order, through the chunks of `subset_lattices`
+    chunks = chunks_built(monkeypatch)
+    singles, kappas = calls_to(monkeypatch, "subset_lattice"), calls_to(monkeypatch, "kappa")
     ctx = {}
     passed, detail = _item_7_sphere_enumeration(DEFAULT_LIMITS, ctx)
     assert passed, detail
-    assert lattices == [t.entries for t in ctx["sphere_tuples_20"]]
-    assert len(lattices) == 2830
+    spheres = [t.entries for t in ctx["sphere_tuples_20"]]
+    assert len(spheres) == 2830
+    assert [entries for rows in chunks for entries in rows] == spheres
+    assert [len(rows) for rows in chunks] == [CHUNK] * (2830 // CHUNK) + [2830 % CHUNK]
+    assert singles == []
     assert kappas == []
+
+
+def test_item_6_builds_its_lattices_in_chunks_of_one_length(monkeypatch):
+    # every sampled tuple once, grouped by length in sample order, and no
+    # `mean_euler` call: the strata are read off the chunk tables
+    chunks = chunks_built(monkeypatch)
+    singles = calls_to(monkeypatch, "subset_lattice")
+    honest = brieskorn.reeb.mean_euler
+    replace_everywhere(monkeypatch, honest, lambda *args: pytest.fail("mean_euler called"))
+    ctx = {"seed": DEFAULT_SEED}
+    passed, detail = _item_6_parity_and_signs(DEFAULT_LIMITS, ctx)
+    assert passed, detail
+    sample = [t.entries for t in ctx["random_tuples"]]
+    by_length = sorted(sample, key=len)
+    assert [entries for rows in chunks for entries in rows] == by_length
+    assert all(len({len(entries) for entries in rows}) == 1 for rows in chunks)
+    assert all(0 < len(rows) <= CHUNK for rows in chunks)
+    assert singles == []
 
 
 def test_item_8_builds_lattices_only_for_tuples_items_6_and_7_did_not(monkeypatch, suite_ctx):
