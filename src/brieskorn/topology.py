@@ -321,7 +321,9 @@ def _capped_length(a: ExponentTuple, limits: Limits) -> int:
 _CHUNK = 128
 
 
-def _lattice_chunk(rows: Sequence[tuple[int, ...]]) -> list[tuple[list[int], list[int], list[int]]]:
+def _lattice_chunk(
+    rows: Sequence[tuple[int, ...]]
+) -> list[tuple[list[int], list[int], list[int]]]:
     """The `subset_lattice` tables of K entry tuples of one length L, in order.
 
     Each step runs over the whole chunk. The doubling appends, for each
@@ -344,7 +346,8 @@ def _lattice_chunk(rows: Sequence[tuple[int, ...]]) -> list[tuple[list[int], lis
     K, L = len(rows), len(rows[0])
     lcm, prod = [1] * K, [1] * K
     n = 1
-    for col in zip(*rows):  # doubling: the new upper half adds the column, so bit j stands for entry j
+    # doubling: the new upper half adds the column, so bit j stands for entry j
+    for col in zip(*rows):
         col *= n
         lcm += [*map(math.lcm, lcm, col)]
         prod += [*map(mul, prod, col)]

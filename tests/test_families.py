@@ -103,13 +103,14 @@ def test_family_rows_flag_multiples_of_three():
 def test_family_rows_read_their_tables_in_chunks(monkeypatch):
     # the 197 rows of verify-paper item 2 through `subset_lattices`: two
     # chunks, not one table per row
-    chunks = []
+    chunks, size = [], brieskorn.topology._CHUNK
     honest = brieskorn.topology._lattice_chunk
     monkeypatch.setattr(brieskorn.topology, "_lattice_chunk",
                         lambda rows: chunks.append(list(rows)) or honest(rows))
     family = sigma_family_rows(4, 200)
-    assert [len(rows) for rows in chunks] == [brieskorn.topology._CHUNK, 197 - brieskorn.topology._CHUNK]
-    assert [entries for rows in chunks for entries in rows] == [r.exponents.entries for r in family]
+    assert [len(rows) for rows in chunks] == [size, 197 - size]
+    assert [entries for rows in chunks for entries in rows] == [
+        r.exponents.entries for r in family]
     assert [r.parameter for r in family] == list(range(4, 201))
     assert [r.chi_m for r in family] == [chi_m(r.exponents) for r in family]
 
