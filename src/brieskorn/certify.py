@@ -29,7 +29,6 @@ from .errors import (
     CertificateFormatError,
     InvalidInputError,
     PreconditionError,
-    UnsupportedLengthError,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
@@ -110,29 +109,19 @@ def sphere_chi(t: ExponentTuple, what: str, limits: Limits = DEFAULT_LIMITS) -> 
 
 
 def enumerate_sphere_tuples(
-    max_exponent: int, length: int = 4, limits: Limits = DEFAULT_LIMITS
+    max_exponent: int, limits: Limits = DEFAULT_LIMITS
 ) -> list[ExponentTuple]:
-    """All canonical sphere tuples with entries in [2, max_exponent].
+    """All canonical 4-entry sphere tuples with entries in [2, max_exponent].
 
     Canonical means entries sorted ascending; output is in lexicographic
-    order and free of permutation duplicates. The sorted tuples are walked
-    depth-first: each prefix carries the adjacency masks of its gcd graph,
-    and an extension adds the new entry's row from a table of which values
-    share a factor, so every pair of values costs one gcd per call.
+    order and free of permutation duplicates. Four nested loops walk the
+    sorted tuples a <= b <= c <= x, and the six edges of each gcd graph are
+    read off a table of which values share a factor, so every pair of
+    values costs one gcd per call.
     """
     if max_exponent < 2:
         raise InvalidInputError(f"max_exponent must be >= 2, got {max_exponent}")
-    if length < 4:
-        raise UnsupportedLengthError(
-            f"sphere tuples need at least 4 entries, got length {length}: "
-            "the criterion only detects homology spheres at length 3"
-        )
-    if length > limits.subset_cap:
-        # the budget counts candidates, but a candidate's walk grows with its length
-        raise CapacityError(
-            f"sphere tuples of length {length} exceed the length cap of {limits.subset_cap}"
-        )
-    candidates = math.comb(max_exponent - 2 + length, length)
+    candidates = math.comb(max_exponent + 2, 4)
     if candidates > limits.search_budget:
         raise CapacityError(
             f"search space holds {candidates} candidate tuples, exceeding "
@@ -141,28 +130,25 @@ def enumerate_sphere_tuples(
     values = range(2, max_exponent + 1)
     shares = gcd_masks(max_exponent)
     out = []
-    # prefixes still to extend, the next one on top; each with its masks
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), [])]
-    while stack:
-        prefix, adj = stack.pop()
-        k = len(prefix)
-        bit = 1 << k
-        children = []
-        for x in values[prefix[-1] - 2 :] if prefix else values:
-            row = shares[x]
-            grown = adj.copy()
-            mask = 0
-            for i, e in enumerate(prefix):
-                if row >> e & 1:
-                    mask |= 1 << i
-                    grown[i] |= bit
-            grown.append(mask)
-            entries = prefix + (x,)
-            if k + 1 < length:
-                children.append((entries, grown))
-            elif _verdict(entries, grown)[0] in SPHERE_KINDS:
-                out.append(ExponentTuple(entries))
-        stack += reversed(children)  # smallest on top, so the output stays sorted
+    for a in values:
+        row_a = shares[a]
+        for b in values[a - 2 :]:
+            row_b = shares[b]
+            ab = row_a >> b & 1
+            for c in values[b - 2 :]:
+                row_c = shares[c]
+                ac = row_a >> c & 1
+                bc = row_b >> c & 1
+                # the masks of a, b and c within (a, b, c); x adds bit 3
+                mask_a, mask_b, mask_c = ab << 1 | ac << 2, ab | bc << 2, ac | bc << 1
+                for x in values[c - 2 :]:
+                    ax = row_a >> x & 1
+                    bx = row_b >> x & 1
+                    cx = row_c >> x & 1
+                    adj = [mask_a | ax << 3, mask_b | bx << 3, mask_c | cx << 3,
+                           ax | bx << 1 | cx << 2]
+                    if _verdict((a, b, c, x), adj)[0] in SPHERE_KINDS:
+                        out.append(ExponentTuple((a, b, c, x)))
     return out
 
 

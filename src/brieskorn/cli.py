@@ -106,7 +106,7 @@ def _cmd_criterion(args) -> int:
         "isolated_points": list(verdict.isolated_points),
         "even_component": {
             "indices": ec,
-            "size": verdict.even_component_size,
+            "size": len(ec),
             "pairwise_gcd2": verdict.even_component_pairwise_gcd2,
         },
     }
@@ -298,7 +298,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_search(args) -> int:
     limits = _limits_from_args(args)
-    spheres = enumerate_sphere_tuples(args.max_exponent, 4, limits)
+    spheres = enumerate_sphere_tuples(args.max_exponent, limits)
     certs = certify_non_brieskorn_pairs(spheres, limits)
     boundary = sum(1 for c in certs if c.boundary)
     pairs = len(spheres) * (len(spheres) + 1) // 2

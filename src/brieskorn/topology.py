@@ -16,8 +16,8 @@ an integral homology 3-sphere and no homeomorphism claim is made.
 
 The graph is held as one integer bit mask per entry position (bit j of
 entry i set iff gcd(a_i, a_j) >= 2); the verdict and the components are
-read off those masks, so `certify` can extend a tuple's masks entry by
-entry instead of rebuilding the graph for every candidate.
+read off those masks, so `certify` can read a candidate's masks off a
+table of which values share a factor instead of taking its gcds.
 
 The subset lattice holds, for every subset J of entry positions, the lcm
 of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),
@@ -171,18 +171,14 @@ def _component(adj: Sequence[int], start: int) -> int:
 
 def _even_component(entries: Sequence[int], adj: Sequence[int]) -> int:
     # the mask of the component of the even entries, 0 when there is none or
-    # it holds an odd entry
-    evens = 0
+    # it holds an odd entry. All even entries share the factor 2, so they are
+    # one component, and it is exactly them unless one has an odd neighbour.
+    evens = reach = 0
     for i, e in enumerate(entries):
         if not e & 1:
             evens |= 1 << i
-    if not evens:
-        return 0
-    # All even entries share the factor 2, hence live in one component.
-    comp = _component(adj, (evens & -evens).bit_length() - 1)
-    if evens & ~comp:
-        raise BrieskornError(f"even entries of {tuple(entries)} span more than one component")
-    return comp if comp == evens else 0
+            reach |= adj[i]
+    return evens if evens and not reach & ~evens else 0
 
 
 def _components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -230,10 +226,6 @@ class SphereVerdict:
     @property
     def is_sphere(self) -> bool:
         return self.kind in SPHERE_KINDS
-
-    @property
-    def even_component_size(self) -> int:
-        return len(self.even_component)
 
 
 def _verdict(

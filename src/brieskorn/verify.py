@@ -206,7 +206,7 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    spheres = enumerate_sphere_tuples(20, 4, limits)
+    spheres = enumerate_sphere_tuples(20, limits)
     ctx["sphere_tuples_20"] = spheres
     recorded = ctx.setdefault("frequencies", {})
     # each subtuple of two or more positions, with its bit mask in the lattice

@@ -90,9 +90,9 @@ def set_criterion(a):
     return SphereVerdict(kind, isolated, tuple(components), even_component, pairwise_gcd2)
 
 
-def filtered_sphere_tuples(max_exponent, length):
-    # every sorted tuple over [2, max_exponent], kept if `set_criterion` calls it a sphere
-    candidates = combinations_with_replacement(range(2, max_exponent + 1), length)
+def filtered_sphere_tuples(max_exponent):
+    # every sorted 4-tuple over [2, max_exponent], kept if `set_criterion` calls it a sphere
+    candidates = combinations_with_replacement(range(2, max_exponent + 1), 4)
     return [t for t in map(ExponentTuple, candidates) if set_criterion(t).is_sphere]
 
 

@@ -36,7 +36,6 @@ from brieskorn.errors import (
     CertificateFormatError,
     InvalidInputError,
     PreconditionError,
-    UnsupportedLengthError,
 )
 from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import Limits
@@ -77,7 +76,7 @@ def test_enumerate_is_sorted_and_canonical():
 
 def test_enumerate_budget():
     with pytest.raises(CapacityError, match="15 candidate"):
-        enumerate_sphere_tuples(4, 4, Limits(search_budget=10))
+        enumerate_sphere_tuples(4, Limits(search_budget=10))
 
 
 def test_enumerate_budget_comes_before_any_work(monkeypatch):
@@ -85,56 +84,14 @@ def test_enumerate_budget_comes_before_any_work(monkeypatch):
     monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
     monkeypatch.setattr("brieskorn.certify._verdict", None)
     with pytest.raises(CapacityError, match="495 candidate"):
-        enumerate_sphere_tuples(10, 4, Limits(search_budget=494))
+        enumerate_sphere_tuples(10, Limits(search_budget=494))
 
 
 @pytest.mark.parametrize("max_exponent", range(2, 17))
 def test_enumerate_matches_the_filtered_oracle(max_exponent):
-    # the prefix walk over the gcd table against every sorted 4-tuple put
+    # the nested loops over the gcd table against every sorted 4-tuple put
     # through the set-based criterion
-    assert enumerate_sphere_tuples(max_exponent) == filtered_sphere_tuples(max_exponent, 4)
-
-
-def test_enumerate_five_tuples_matches_the_filtered_oracle():
-    for max_exponent in range(2, 11):
-        spheres = enumerate_sphere_tuples(max_exponent, 5)
-        assert spheres == filtered_sphere_tuples(max_exponent, 5)
-    assert len(spheres) > 0
-
-
-def test_enumerate_long_tuples_without_recursion():
-    # the walk keeps its own stack, so a length past the interpreter's
-    # recursion limit is only as deep as its candidates
-    long = Limits(subset_cap=1500)
-    assert enumerate_sphere_tuples(2, 1500, long) == []
-    spheres = enumerate_sphere_tuples(3, 40, long)
-    assert spheres == filtered_sphere_tuples(3, 40)
-    assert [t.entries for t in spheres] == [(2,) * 39 + (3,)]  # condition (ii)
-
-
-def test_enumerate_refuses_lengths_above_the_cap(monkeypatch):
-    # A = 2 has one candidate at every length, so only the length cap stops
-    # a walk whose cost grows as the square of the length; no gcd table and
-    # no verdict come before it
-    monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
-    monkeypatch.setattr("brieskorn.certify._verdict", None)
-    with pytest.raises(CapacityError, match="length 100000 exceed the length cap of 24"):
-        enumerate_sphere_tuples(2, 10**5)
-    with pytest.raises(CapacityError, match="length 25 exceed the length cap of 24"):
-        enumerate_sphere_tuples(3, 25)
-
-
-def test_enumerate_at_the_length_cap_matches_the_filtered_oracle():
-    spheres = enumerate_sphere_tuples(3, 24)
-    assert spheres == filtered_sphere_tuples(3, 24)
-    assert [t.entries for t in spheres] == [(2,) * 23 + (3,)]
-
-
-@pytest.mark.parametrize("length", [2, 3])
-def test_enumerate_refuses_lengths_below_four(length):
-    # at length 3 the criterion detects only homology spheres, so no tuple is a sphere
-    with pytest.raises(UnsupportedLengthError, match=f"at least 4 entries, got length {length}"):
-        enumerate_sphere_tuples(10, length)
+    assert enumerate_sphere_tuples(max_exponent) == filtered_sphere_tuples(max_exponent)
 
 
 def test_enumerated_spheres_have_positive_invariant():

@@ -423,6 +423,17 @@ def test_search_unwritable_path_exits_1(tmp_path, capsys):
     assert err
 
 
+def test_search_over_the_subset_cap_exits_1_and_writes_nothing(tmp_path, capsys):
+    # a summand's chi_m needs its 4-entry lattice, which a cap of 3 refuses
+    out = tmp_path / "F.jsonl"
+    code, _, err = run(
+        capsys, "search", "--max-exponent", "12", "--cap-subsets", "3", "--out", str(out)
+    )
+    assert code == 1
+    assert err.startswith("capacity error: ")
+    assert not out.exists()
+
+
 # ------------------------------------------------------- byte identity
 
 

@@ -119,7 +119,7 @@ def test_graph_coprime_tuple_has_no_edges():
     assert g.components == tuple(frozenset({i}) for i in range(4))
     assert g.isolated_points == (0, 1, 2, 3)
     assert g.even_component == frozenset({0})  # the single even entry
-    assert g.even_component_size == 1
+    assert len(g.even_component) == 1
 
 
 def test_graph_all_even_is_complete():
@@ -179,13 +179,13 @@ def test_criterion_two_isolated_points():
 def test_criterion_not_sphere():
     v = evaluate_criterion(make_tuple([2, 2, 2, 2]))
     assert v.kind is SphereKind.NOT_SPHERE
-    assert v.even_component_size == 4
+    assert len(v.even_component) == 4
 
 
 def test_criterion_even_component_route():
     v = evaluate_criterion(make_tuple([2, 2, 2, 3, 5]))
     assert v.kind is SphereKind.SPHERE_BY_II
-    assert v.even_component_size == 3
+    assert len(v.even_component) == 3
     assert v.even_component_pairwise_gcd2
     assert len(v.isolated_points) >= 1
 
