@@ -82,6 +82,7 @@ def test_enumerate_budget():
 def test_enumerate_budget_comes_before_any_work(monkeypatch):
     # no gcd table and no verdict before the budget is checked
     monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
+    monkeypatch.setattr("brieskorn.certify.gcd_masks", None)
     monkeypatch.setattr("brieskorn.certify._verdict", None)
     with pytest.raises(CapacityError, match="495 candidate"):
         enumerate_sphere_tuples(10, Limits(search_budget=494))
