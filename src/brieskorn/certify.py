@@ -36,6 +36,9 @@ from .topology import SPHERE_KINDS, ExponentTuple, _verdict, gcd_masks, sphere_k
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
 
+# the most candidate tuples a sphere search may enumerate: A <= 69
+SEARCH_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class NonBrieskornCertificate:
@@ -108,9 +111,7 @@ def sphere_chi(t: ExponentTuple, what: str, limits: Limits = DEFAULT_LIMITS) -> 
     return chi_m
 
 
-def enumerate_sphere_tuples(
-    max_exponent: int, limits: Limits = DEFAULT_LIMITS
-) -> list[ExponentTuple]:
+def enumerate_sphere_tuples(max_exponent: int) -> list[ExponentTuple]:
     """All canonical 4-entry sphere tuples with entries in [2, max_exponent].
 
     Canonical means entries sorted ascending; output is in lexicographic
@@ -122,10 +123,10 @@ def enumerate_sphere_tuples(
     if max_exponent < 2:
         raise InvalidInputError(f"max_exponent must be >= 2, got {max_exponent}")
     candidates = math.comb(max_exponent + 2, 4)
-    if candidates > limits.search_budget:
+    if candidates > SEARCH_BUDGET:
         raise CapacityError(
             f"search space holds {candidates} candidate tuples, exceeding "
-            f"the budget of {limits.search_budget}"
+            f"the budget of {SEARCH_BUDGET}"
         )
     values = range(2, max_exponent + 1)
     shares = gcd_masks(max_exponent)

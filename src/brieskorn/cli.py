@@ -298,7 +298,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_search(args) -> int:
     limits = _limits_from_args(args)
-    spheres = enumerate_sphere_tuples(args.max_exponent, limits)
+    spheres = enumerate_sphere_tuples(args.max_exponent)
     certs = certify_non_brieskorn_pairs(spheres, limits)
     boundary = sum(1 for c in certs if c.boundary)
     pairs = len(spheres) * (len(spheres) + 1) // 2

@@ -183,7 +183,6 @@ class FermatAsymptoticsReport:
     self-connected-sum value negative.
     """
 
-    n: int
     rows: tuple[FermatRow, ...]
     ratio_error_strictly_decreasing: bool
     first_in_interval: int | None
@@ -246,5 +245,5 @@ def fermat_asymptotics_report(
         r.self_sum_sign_negative for r in rows if r.signed_chi < quarter
     )
     return FermatAsymptoticsReport(
-        n, tuple(rows), decreasing, first, from_first_on, below_quarter_negative
+        tuple(rows), decreasing, first, from_first_on, below_quarter_negative
     )

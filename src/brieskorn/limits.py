@@ -1,8 +1,8 @@
 """Configurable enumeration caps.
 
-Every exponential enumeration in the package (subset sums, Fermat towers,
-sphere searches) is guarded by a cap so that absurd inputs fail fast with a
-`CapacityError` instead of hanging.
+The subset lattices and the Fermat towers are guarded by caps, set by flag
+or environment, so that absurd inputs fail fast with a `CapacityError`
+instead of hanging; the sphere search has the fixed `certify.SEARCH_BUDGET`.
 """
 
 from __future__ import annotations
@@ -27,13 +27,10 @@ class Limits:
         subsets (homology rank, period lattice).
     fermat_cap: largest Fermat index ever materialized (sizes grow doubly
         exponentially).
-    search_budget: maximum number of candidate tuples a sphere search may
-        enumerate.
     """
 
     subset_cap: int = 24
     fermat_cap: int = 12
-    search_budget: int = 10**6
 
     def with_overrides(self, **kwargs) -> "Limits":
         """Return a copy with the given fields replaced (None values ignored)."""

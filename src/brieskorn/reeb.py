@@ -75,10 +75,9 @@ class Stratum(NamedTuple):
 
 @dataclass(frozen=True)
 class MeanEulerReport:
-    """The mean Euler characteristic of `exponents` with its strata; `value`
-    is None exactly when the total index is 0."""
+    """The mean Euler characteristic of a tuple with its strata; `value` is
+    None exactly when the total index is 0."""
 
-    exponents: ExponentTuple
     total_index: int
     value: Fraction | None
     strata: tuple[Stratum, ...]
@@ -195,7 +194,7 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
         )
 
     value = Fraction(sign * numerator_global, abs(total)) if total else None
-    return MeanEulerReport(a, total, value, strata)
+    return MeanEulerReport(total, value, strata)
 
 
 def mean_euler_coprime(a: ExponentTuple) -> Fraction:

@@ -99,18 +99,9 @@ class ExponentTuple:
         return ExponentTuple(tuple(sorted(self.entries)))
 
     def subtuple(self, indices: Sequence[int]) -> "ExponentTuple":
-        """The entries at `indices`, in that order.
-
-        They are entries of this tuple, so they are not validated again;
-        only their count is checked.
-        """
+        """The entries at `indices`, in that order, as a validated tuple."""
         entries = self.entries
-        sub = tuple([entries[i] for i in indices])
-        if len(sub) < 2:
-            raise InvalidInputError(f"an exponent tuple needs at least 2 entries, got {len(sub)}")
-        t = object.__new__(ExponentTuple)
-        object.__setattr__(t, "entries", sub)
-        return t
+        return ExponentTuple(tuple([entries[i] for i in indices]))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

@@ -183,7 +183,7 @@ def _item_5_dominance(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    rng = random.Random(ctx["seed"])
+    rng = random.Random(DEFAULT_SEED)
     tuples = []
     for _ in range(1000):
         length = rng.randint(2, 6)
@@ -206,7 +206,7 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    spheres = enumerate_sphere_tuples(20, limits)
+    spheres = enumerate_sphere_tuples(20)
     ctx["sphere_tuples_20"] = spheres
     recorded = ctx.setdefault("frequencies", {})
     # each subtuple of two or more positions, with its bit mask in the lattice
@@ -379,11 +379,9 @@ _ITEMS: list[tuple[int, str, Callable, float | None]] = [
 ]
 
 
-def run_reproduction_suite(
-    limits: Limits = DEFAULT_LIMITS, seed: int = DEFAULT_SEED
-) -> SuiteResult:
+def run_reproduction_suite(limits: Limits = DEFAULT_LIMITS) -> SuiteResult:
     """Run all reproduction items and collect per-item results."""
-    ctx: dict = {"seed": seed}
+    ctx: dict = {}
     checks = []
     suite_start = time.perf_counter()
     for item, name, fn, budget in _ITEMS:

@@ -130,7 +130,7 @@ def per_stratum_mean_euler(a):
     total = 2 * (sum(d // e for e in a.entries) - d)
     numerator = sum(s.frequency * s.chi_s1 for s in strata)
     value = Fraction((-1) ** (a.n + 1) * numerator, abs(total)) if total else None
-    return MeanEulerReport(a, total, value, tuple(strata))
+    return MeanEulerReport(total, value, tuple(strata))
 
 
 def fraction_connected_sum(values, n):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import brieskorn
 from brieskorn.certify import (
     CONCLUSION,
+    SEARCH_BUDGET,
     NonBrieskornCertificate,
     certify_non_brieskorn_pairs,
     distinctness_classes,
@@ -38,7 +40,6 @@ from brieskorn.errors import (
     PreconditionError,
 )
 from brieskorn.families import sigma_m_tuple
-from brieskorn.limits import Limits
 from brieskorn.reeb import connected_sum_chi, mean_euler
 from brieskorn.topology import evaluate_criterion, make_tuple
 from oracles import (
@@ -75,17 +76,28 @@ def test_enumerate_is_sorted_and_canonical():
 
 
 def test_enumerate_budget():
-    with pytest.raises(CapacityError, match="15 candidate"):
-        enumerate_sphere_tuples(4, Limits(search_budget=10))
+    # C(72, 4) candidates at A = 70; A = 69 is the largest search in budget
+    assert SEARCH_BUDGET == 10**6
+    with pytest.raises(CapacityError, match=r"^search space holds 1028790 candidate tuples, "
+                                            r"exceeding the budget of 1000000$"):
+        enumerate_sphere_tuples(70)
 
 
 def test_enumerate_budget_comes_before_any_work(monkeypatch):
     # no gcd table and no verdict before the budget is checked
+    monkeypatch.setattr("brieskorn.certify.SEARCH_BUDGET", 494)
     monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
     monkeypatch.setattr("brieskorn.certify.gcd_masks", None)
     monkeypatch.setattr("brieskorn.certify._verdict", None)
     with pytest.raises(CapacityError, match="495 candidate"):
-        enumerate_sphere_tuples(10, Limits(search_budget=494))
+        enumerate_sphere_tuples(10)
+
+
+def test_enumerate_budget_admits_a_search_space_of_its_size(monkeypatch):
+    # the 495 candidates at A = 10 fit a budget of 495
+    expected = enumerate_sphere_tuples(10)
+    monkeypatch.setattr("brieskorn.certify.SEARCH_BUDGET", 495)
+    assert enumerate_sphere_tuples(10) == expected
 
 
 @pytest.mark.parametrize("max_exponent", range(2, 17))
@@ -565,12 +577,16 @@ def test_writer_matches_json_dumps(certs):
         assert back[1] == certs
 
 
-# the certificates of every sphere pair at A = 12: each tuple has its own chi_m
-SEARCH_CERTIFICATES = certify_non_brieskorn_pairs(enumerate_sphere_tuples(12))
+@functools.cache
+def search_certificates() -> list[NonBrieskornCertificate]:
+    # the certificates of every sphere pair at A = 12: each tuple has its own
+    # chi_m; built on first draw, so a fault in the search fails this test
+    # alone and leaves the module collecting
+    return certify_non_brieskorn_pairs(enumerate_sphere_tuples(12))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(SEARCH_CERTIFICATES), max_size=12))
+@given(st.lists(st.deferred(lambda: st.sampled_from(search_certificates())), max_size=12))
 def test_written_search_certificates_read_back(certs):
     # tuples and chi values repeat across lines, in any order, and hit the reader's caches
     digest, data, back, oracle = _write_and_read(certs)

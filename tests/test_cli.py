@@ -434,6 +434,17 @@ def test_search_over_the_subset_cap_exits_1_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_search_over_the_budget_exits_1_and_writes_nothing(tmp_path, capsys):
+    # the budget is checked before any work, so this refusal is instant
+    out = tmp_path / "F.jsonl"
+    code, stdout, err = run(capsys, "search", "--max-exponent", "70", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == ("capacity error: search space holds 1028790 candidate tuples, "
+                   "exceeding the budget of 1000000\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------- byte identity
 
 

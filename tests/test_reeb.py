@@ -260,13 +260,14 @@ def test_mean_euler_undefined():
 
 def test_mean_euler_report_invariants():
     for entries in [(2, 3, 5), (4, 5, 9, 19), (2, 2, 3), (2, 2, 5, 6)]:
-        report = mean_euler(make_tuple(entries))
+        t = make_tuple(entries)
+        report = mean_euler(t)
         last = report.strata[-1]
-        assert last.period == report.exponents.d
+        assert last.period == t.d
         assert last.frequency == 1
         if report.value is not None:
             weighted = sum(s.frequency * s.chi_s1 for s in report.strata)
-            sign = (-1) ** (report.exponents.n + 1)
+            sign = (-1) ** (t.n + 1)
             assert report.value * abs(report.total_index) == sign * weighted
 
 

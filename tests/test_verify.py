@@ -20,7 +20,6 @@ from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import frequencies, mean_euler
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import (
-    DEFAULT_SEED,
     _direct_frequencies,
     _item_2_closed_form_agreement,
     _item_6_parity_and_signs,
@@ -208,7 +207,7 @@ def calls_to(monkeypatch, name: str) -> list[tuple[int, ...]]:
 @pytest.fixture(scope="module")
 def suite_ctx():
     # the records items 6 and 7 leave for item 8
-    ctx = {"seed": DEFAULT_SEED}
+    ctx = {}
     assert _item_6_parity_and_signs(DEFAULT_LIMITS, ctx)[0]
     assert _item_7_sphere_enumeration(DEFAULT_LIMITS, ctx)[0]
     return ctx
@@ -250,7 +249,7 @@ def test_item_6_builds_its_lattices_in_chunks_of_one_length(monkeypatch):
     singles = calls_to(monkeypatch, "subset_lattice")
     honest = brieskorn.reeb.mean_euler
     replace_everywhere(monkeypatch, honest, lambda *args: pytest.fail("mean_euler called"))
-    ctx = {"seed": DEFAULT_SEED}
+    ctx = {}
     passed, detail = _item_6_parity_and_signs(DEFAULT_LIMITS, ctx)
     assert passed, detail
     sample = [t.entries for t in ctx["random_tuples"]]
@@ -323,7 +322,7 @@ def test_mean_euler_builds_no_tuple_per_stratum(monkeypatch):
             return honest(self, *args)
         return counted
 
-    # subtuple skips the constructor, so both are counted
+    # a subtuple is built through the constructor; both are counted
     for name in ("subtuple", "__post_init__"):
         monkeypatch.setattr(ExponentTuple, name, counting(name))
     assert len(mean_euler(t).strata) == 168
