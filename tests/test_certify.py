@@ -580,8 +580,8 @@ def test_writer_matches_json_dumps(certs):
 @functools.cache
 def search_certificates() -> list[NonBrieskornCertificate]:
     # the certificates of every sphere pair at A = 12: each tuple has its own
-    # chi_m; built on first draw, so a fault in the search fails this test
-    # alone and leaves the module collecting
+    # chi_m; built on first draw, so a fault in the search fails tests by
+    # name instead of the module's collection
     return certify_non_brieskorn_pairs(enumerate_sphere_tuples(12))
 
 
