@@ -20,9 +20,11 @@ frequency * chi_S1 over those subsets, with the global sign (-1)^(n+1),
 divided by the absolute total index 2d(sum_j 1/a_j - 1); it is an invariant
 of the contact structure and is defined whenever that total index is
 nonzero. `chi_m` reads that sum straight off the table and builds no
-stratum. `mean_euler` also builds each `Stratum` in one loop over the rows,
-with its Robbin-Salamon index found by division, and cross-checks the
-lattice sum against the sum over its strata with the per-stratum signs.
+stratum. `mean_euler` takes the same value and also builds each `Stratum`
+in one loop over the rows: its positions are those of its closed subset,
+and only its Robbin-Salamon index is found by division. The second route
+to the sum, over the strata with the per-stratum signs, is an oracle of
+`verify-paper` item 6 and the tests, not of this module.
 `_chi_m` and `_mean_euler` take a table already built, so a caller with
 many tuples of one length builds their tables a chunk at a time
 (`topology.subset_lattices`) and reads each through them. A
@@ -38,9 +40,9 @@ from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .errors import BrieskornError, InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
-from .topology import ExponentTuple, _chi_s1, noncoprime_pair, subset_lattice
+from .topology import ExponentTuple, _bits, _chi_s1, noncoprime_pair, subset_lattice
 
 __all__ = [
     "Stratum",
@@ -83,32 +85,29 @@ class MeanEulerReport:
     strata: tuple[Stratum, ...]
 
 
-def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int]]:
-    """The strata of a `subset_lattice` table as (period, frequency, kappa of
-    the entries dividing the period), by period: the closed subsets of two or
-    more positions, whose frequencies are nonzero, and the top period d with
-    frequency 1.
+def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int, int]]:
+    """The strata of a `subset_lattice` table as (period, frequency, kappa,
+    subset) rows, by period: the closed subsets of two or more positions,
+    whose frequencies are nonzero, and the top period d with frequency 1.
+    A closed subset holds exactly the positions of the entries dividing its
+    period, and the kappa is theirs.
     """
     lcm, freq, kap = lattice
     top = len(lcm) - 1
-    rows = sorted((lcm[J], freq[J], kap[J]) for J in compress(range(top), freq) if J & (J - 1))
-    return rows + [(lcm[-1], 1, kap[-1])]
+    rows = sorted((lcm[J], freq[J], kap[J], J) for J in compress(range(top), freq) if J & (J - 1))
+    return rows + [(lcm[-1], 1, kap[-1], top)]
 
 
 def _build_strata(
-    a: ExponentTuple, rows: Sequence[tuple[int, int, int]]
+    a: ExponentTuple, rows: Sequence[tuple[int, int, int, int]]
 ) -> tuple[Stratum, ...]:
-    """The strata of the flow on `a` for its (period, frequency, kappa) rows."""
+    """The strata of the flow on `a` for its (period, frequency, kappa,
+    subset) rows."""
     entries = a.entries
-    L = len(entries)
-    positions = range(L)
     strata = []
-    for T, frequency, kappa in rows:
-        indices = tuple([j for j in positions if T % entries[j] == 0])
+    for T, frequency, kappa, J in rows:
+        indices = tuple(_bits(J))
         m_t = len(indices)
-        # a period is an lcm of >= 2 entries, so at least those entries divide it
-        if m_t < 2:
-            raise BrieskornError(f"period {T} of {a} is divided by fewer than two entries")
         # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e); an entry
         # not dividing T adds an odd term, so mu has the parity of L - m_t
         # (verify-paper item 6 checks that on every stratum it reads)
@@ -122,7 +121,7 @@ def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     below the top period d that no larger period divides. The periods are the
     lcms of two or more entries; the top period d itself has frequency 1 by
     convention."""
-    return [f for _, f, _ in _strata_rows(subset_lattice(a, limits))]
+    return [f for _, f, _, _ in _strata_rows(subset_lattice(a, limits))]
 
 
 def total_rs_index(a: ExponentTuple) -> int:
@@ -163,12 +162,12 @@ def _chi_m(a: ExponentTuple, lattice: tuple[list[int], ...]) -> Fraction | None:
 def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerReport:
     """Mean Euler characteristic with its strata.
 
-    The signed sum is evaluated by two routes: over the lattice with the
-    global prefactor (-1)^(n+1), from each subset's popcount and kappa, and
-    over the strata with the per-stratum signs (-1)^(mu_RS - m_t) (the parity
-    of mu_RS - (2*m_t - 4)/2), from their division-derived m_t, chi_S1 and
-    index. The index parity
-    relation makes these agree, and the agreement is enforced.
+    The value is the lattice sum with the global sign (-1)^(n+1), as
+    `chi_m` gives it. Each stratum takes its positions, m_t, kappa and
+    frequency from its row of the lattice and its Robbin-Salamon index from
+    division. `verify-paper` item 6 and the tests check that the sum over
+    the strata with the per-stratum signs (-1)^(mu_RS - m_t) (the parity of
+    mu_RS - (2*m_t - 4)/2) agrees with the lattice sum.
     """
     # the lattice first: it refuses what is not an ExponentTuple
     return _mean_euler(a, subset_lattice(a, limits))
@@ -178,23 +177,9 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
     """`mean_euler(a)` from the `subset_lattice` table of `a`, for callers
     that read other entries of that table too or build it in a chunk
     (`subset_lattices`)."""
-    strata = _build_strata(a, _strata_rows(lattice))
     total = total_rs_index(a)
-
-    numerator_global = _chi_numerator(lattice)
-    numerator_stratified = sum([
-        (-1) ** ((s.mu_rs - s.m_t) % 2) * s.frequency * s.chi_s1
-        for s in strata
-    ])
-    sign = (-1) ** (a.n + 1)
-    if numerator_stratified != sign * numerator_global:
-        raise BrieskornError(
-            f"sign coherence failed for {a}: stratified numerator "
-            f"{numerator_stratified} != {sign} * {numerator_global}"
-        )
-
-    value = Fraction(sign * numerator_global, abs(total)) if total else None
-    return MeanEulerReport(total, value, strata)
+    value = Fraction((-1) ** (a.n + 1) * _chi_numerator(lattice), abs(total)) if total else None
+    return MeanEulerReport(total, value, _build_strata(a, _strata_rows(lattice)))
 
 
 def mean_euler_coprime(a: ExponentTuple) -> Fraction:

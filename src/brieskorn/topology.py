@@ -40,12 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, combinations_with_replacement, islice
-from operator import floordiv, mod, mul, sub
+from itertools import chain, combinations, islice
+from operator import floordiv, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    BrieskornError,
     CapacityError,
     InvalidInputError,
     UnsupportedLengthError,
@@ -312,9 +311,10 @@ def _lattice_chunk(
     Each step runs over the whole chunk. The doubling appends, for each
     position, the subsets holding it as a second half of every table at
     once, with entry J of tuple t's table at index t + K*J: one column of
-    entries, repeated. Each check names the tuple it fails on; the quotient
-    check reads one table at a time, as for a lone tuple a loop over the
-    pairs costs less than one list per pair.
+    entries, repeated. The kernel checks nothing of what it computes: the
+    tests compare its tables with the loop kernel of `tests/oracles.py`,
+    which checks that each lcm divides its product and that the quotient
+    of a singleton is 1 and of a pair its gcd.
 
     The counts d // lcm[J] - 1 are (d - 1) // lcm[J], as lcm[J] divides d.
     Reversing a table maps each subset to its complement, so the subset
@@ -335,16 +335,7 @@ def _lattice_chunk(
         lcm += [*map(math.lcm, lcm, col)]
         prod += [*map(mul, prod, col)]
         n += n
-    if any(map(mod, prod, lcm)):
-        i = next(i for i, (p, m) in enumerate(zip(prod, lcm)) if p % m)
-        raise BrieskornError(f"lcm does not divide the product on subset {i // K:b} "
-                             f"of {rows[i % K]}")
     kap = [*map(floordiv, prod, lcm)]
-    for t, entries in enumerate(rows):  # singletons 1, pairs their gcd
-        q = kap[t::K]
-        for j, k in combinations_with_replacement(range(L), 2):
-            if q[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
-                raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {entries}")
     x = [*map(floordiv, [d - 1 for d in lcm[-K:]] * n, lcm), *reversed(kap)]
     if K > 1:  # for one tuple the list is already laid out table by table
         x = [*chain.from_iterable([x[t::K] for t in range(K)])]
@@ -373,7 +364,9 @@ def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[in
     halves, which moves every position down by one and position 0 to the
     top; after L steps each position has been at bit 0 once and the order
     is restored. Every loop runs once per position, over a whole list. This
-    is the kernel of `subset_lattices` on a chunk of one tuple.
+    is the kernel of `subset_lattices` on a chunk of one tuple; it refuses
+    only what it may not build, and its second route is the loop kernel of
+    the tests (`tests/oracles.loop_subset_lattice`).
     """
     _capped_length(a, limits)
     return _lattice_chunk((a.entries,))[0]

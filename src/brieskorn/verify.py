@@ -3,17 +3,22 @@
 Each item recomputes one of the package's reference results from scratch
 and reports pass/fail. Items 6 and 7 build the subset lattices of their
 tuples in chunks of one length (`topology.subset_lattices`) and read each
-table through the `reeb` seams. They record the strata frequencies in the
-run's context, and item 8 compares those with its oracles instead of
-building the same subset lattices again: the claiming count and Moebius
-inversion on the poset of the tuple's periods, which take their periods
-from a subset walk of their own. Items that read only the value of chi_m
-take it from the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table
-already built) and build no strata. Item 10 sweeps sorted prefixes and
-builds a tuple only where the last entry makes the total index 0.
-Everything is exact arithmetic, so every check is an equality at
-tolerance zero; the only inequalities are the stated runtime budgets. The
-random sample in item 6 is seeded, so the whole suite is deterministic.
+table through the `reeb` seams. Item 6 is the sign-coherence oracle of
+`reeb.mean_euler`: it builds the strata as `mean_euler` does, finds the
+positions of the entries dividing each period by division and checks the
+index parity on each stratum, and compares the sum over the strata with
+the per-stratum signs with the lattice sum and its global sign on each
+tuple. Items 6 and 7 record the strata frequencies in the run's context,
+and item 8 compares those with its oracles instead of building the same
+subset lattices again: the claiming count and Moebius inversion on the
+poset of the tuple's periods, which take their periods from a subset
+walk of their own. Items that read only the value of chi_m take it from
+the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table already
+built) and build no strata. Item 10 sweeps sorted prefixes and builds a
+tuple only where the last entry makes the total index 0. Everything is
+exact arithmetic, so every check is an equality at tolerance zero; the
+only inequalities are the stated runtime budgets. The random sample in
+item 6 is seeded, so the whole suite is deterministic.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from .families import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import (
+    _build_strata,
     _chi_m,
-    _mean_euler,
+    _chi_numerator,
     _strata_rows,
     chi_m,
     frequencies,
@@ -127,6 +133,25 @@ def _recurrence_frequencies(periods: Sequence[int]) -> list[int]:
     return out
 
 
+def _stratified_route(entries: Sequence[int], strata) -> tuple[list[tuple[int, ...]], int]:
+    """The positions of the entries dividing each stratum's period, found by
+    division, and the sum of frequency * chi_S1 over the strata with the
+    per-stratum signs (-1)^(mu_RS - m_t), each m_t counted from those
+    positions.
+
+    Item 6's second route to what `reeb.mean_euler` reads off the subset
+    lattice: the positions there are those of a closed subset, and the sum
+    is the lattice sum times the global sign (-1)^(n+1). Every mu_RS with
+    the parity of L - m_t makes the two sums agree.
+    """
+    positions, total = [], 0
+    for period, _, _, mu_rs, chi_s1, frequency in strata:
+        idx = tuple([j for j, e in enumerate(entries) if period % e == 0])
+        positions.append(idx)
+        total += (-1) ** ((mu_rs - len(idx)) % 2) * frequency * chi_s1
+    return positions, total
+
+
 def _item_1_sigma4_both_routes(limits: Limits, ctx: dict) -> tuple[bool, str]:
     target = Fraction(407, 2642)
     a = sigma_m_tuple(4)
@@ -196,12 +221,20 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
     for _, group in groupby(by_length, key=attrgetter("length")):
         group = list(group)
         for t, lattice in zip(group, subset_lattices(group, limits)):
-            report = _mean_euler(t, lattice)  # raises if the two sign routes differ
-            recorded[tuple(sorted(t.entries))] = [s.frequency for s in report.strata]
-            for s in report.strata:
+            strata = _build_strata(t, _strata_rows(lattice))
+            recorded[tuple(sorted(t.entries))] = [s.frequency for s in strata]
+            positions, stratified = _stratified_route(t.entries, strata)
+            for s, idx in zip(strata, positions):
+                if s.indices != idx:
+                    return False, (f"stratum positions {s.indices} of {t} at period "
+                                   f"{s.period} are not those of its divisors {idx}")
                 if (s.mu_rs - (t.n + 1 - s.m_t)) % 2 != 0:
                     return False, f"parity violated for {t} at period {s.period}"
                 checked += 1
+            sign, numerator = (-1) ** (t.n + 1), _chi_numerator(lattice)
+            if stratified != sign * numerator:
+                return False, (f"sign coherence failed for {t}: stratified numerator "
+                               f"{stratified} != {sign} * {numerator}")
     return True, f"{len(tuples)} random tuples, {checked} strata parity-checked"
 
 
@@ -220,7 +253,7 @@ def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
             chi = _chi_s1(len(idx), kap[J])
             if chi <= 0:
                 return False, f"chi_S1 = {chi} on subtuple {idx} of {t}, expected > 0"
-        recorded[tuple(sorted(t.entries))] = [f for _, f, _ in _strata_rows(lattice)]
+        recorded[tuple(sorted(t.entries))] = [f for _, f, _, _ in _strata_rows(lattice)]
         value = _chi_m(t, lattice)
         if value is None or value <= 0:
             return False, f"mean Euler characteristic of {t} is {value}, expected > 0"

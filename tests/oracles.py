@@ -16,7 +16,14 @@ from brieskorn.errors import (
     UnsupportedLengthError,
 )
 from brieskorn.limits import Limits
-from brieskorn.reeb import MeanEulerReport, Stratum, has_isolated_exponent, total_rs_index
+from brieskorn.limits import DEFAULT_LIMITS
+from brieskorn.reeb import (
+    MeanEulerReport,
+    Stratum,
+    _chi_numerator,
+    has_isolated_exponent,
+    total_rs_index,
+)
 from brieskorn.serialize import fraction_obj, parse_int, tuple_obj
 from brieskorn.topology import (
     ExponentTuple,
@@ -24,6 +31,7 @@ from brieskorn.topology import (
     SphereVerdict,
     _require_exponent_tuple,
     chi_s1,
+    subset_lattice,
 )
 from brieskorn.verify import _recurrence_frequencies
 
@@ -131,6 +139,16 @@ def per_stratum_mean_euler(a):
     numerator = sum(s.frequency * s.chi_s1 for s in strata)
     value = Fraction((-1) ** (a.n + 1) * numerator, abs(total)) if total else None
     return MeanEulerReport(total, value, tuple(strata))
+
+
+def sign_coherence(a, report):
+    # the two sides of sign coherence for `a` and its `mean_euler` report:
+    # the sum of frequency * chi_S1 over its strata with the per-stratum
+    # signs (-1)^(mu_RS - m_t), and the lattice sum with the global sign
+    # (-1)^(n+1), from a table built here
+    stratified = sum((-1) ** ((s.mu_rs - s.m_t) % 2) * s.frequency * s.chi_s1
+                     for s in report.strata)
+    return stratified, (-1) ** (a.n + 1) * _chi_numerator(subset_lattice(a, DEFAULT_LIMITS))
 
 
 def fraction_connected_sum(values, n):

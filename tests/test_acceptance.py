@@ -32,7 +32,7 @@ from brieskorn.reeb import (
 from brieskorn.topology import ExponentTuple, SphereKind, evaluate_criterion, kappa, make_tuple
 from brieskorn.verify import _isolated_census
 from envelope_schema import ENVELOPE_SCHEMA, ENVELOPE_SHA256
-from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
+from oracles import naive_frequencies, per_tuple_isolated_census, sign_coherence, subset_periods
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -141,7 +141,9 @@ def test_criterion_06_index_parity_and_sign_coherence():
     for _ in range(1000):
         entries = tuple(rng.randint(2, 30) for _ in range(rng.randint(2, 6)))
         t = ExponentTuple(entries)
-        rep = mean_euler(t)  # raises internally if the sign routes disagree
+        rep = mean_euler(t)
+        stratified, lattice = sign_coherence(t, rep)
+        violations += stratified != lattice
         for s in rep.strata:
             strata_checked += 1
             if (s.mu_rs - (t.n + 1 - s.m_t)) % 2 != 0:

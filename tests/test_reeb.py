@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import brieskorn.reeb
 from brieskorn.certify import enumerate_sphere_tuples
-from brieskorn.errors import BrieskornError, CapacityError, InvalidInputError, PreconditionError
+from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
     Stratum,
@@ -40,6 +39,7 @@ from oracles import (
     naive_frequencies,
     pairwise_isolated_exponent,
     per_stratum_mean_euler,
+    sign_coherence,
     subset_periods,
 )
 
@@ -172,15 +172,6 @@ def test_stratum_is_an_immutable_record_with_fixed_field_order():
     assert hash(s) == hash(tuple(s))
 
 
-def test_a_period_divided_by_one_entry_is_refused(monkeypatch):
-    # only 2 divides the period 4 of this row, so it cannot be a Reeb period
-    rows = [(4, 1, 0), (30, 1, 0)]
-    monkeypatch.setattr(brieskorn.reeb, "_strata_rows", lambda lattice: rows)
-    t = make_tuple([2, 3, 5])
-    with pytest.raises(BrieskornError, match="fewer than two entries"):
-        mean_euler(t)
-
-
 @given(wide_tuples)
 @settings(max_examples=60)
 def test_stratum_parity(t):
@@ -282,12 +273,15 @@ def test_mean_euler_matches_per_stratum_route(t):
 
 
 def test_chi_m_is_the_mean_euler_value_on_every_sphere_with_entries_to_20():
-    # the lattice sum against the strata of mean_euler, which also re-runs
-    # the per-stratum parity and sign checks on each of these spheres
+    # the lattice sum against the value of mean_euler, and against the sum
+    # over its strata with the per-stratum signs, on each of these spheres
     spheres = enumerate_sphere_tuples(20)
     assert len(spheres) == 2830
     for t in spheres:
-        assert chi_m(t) == mean_euler(t).value, t
+        report = mean_euler(t)
+        assert chi_m(t) == report.value, t
+        stratified, lattice = sign_coherence(t, report)
+        assert stratified == lattice, t
 
 
 @given(wide_tuples)
@@ -302,26 +296,14 @@ def test_chi_m_is_none_where_the_total_index_is_zero():
     assert chi_m(make_tuple([4, 5, 9, 19])) == Fraction(407, 2642)
 
 
-def test_a_stratum_off_the_lattice_fails_sign_coherence(monkeypatch):
-    # one stratum's chi_S1 moved by one: the lattice sum does not see it, so
-    # the two routes of mean_euler disagree
-    honest = brieskorn.reeb._build_strata
-
-    def shifted(a, rows):
-        strata = honest(a, rows)
-        return (strata[0]._replace(chi_s1=strata[0].chi_s1 + 1),) + strata[1:]
-
-    monkeypatch.setattr(brieskorn.reeb, "_build_strata", shifted)
-    with pytest.raises(BrieskornError, match="sign coherence failed for"):
-        mean_euler(make_tuple([4, 5, 9, 19]))
-
-
 @given(wide_tuples)
 @settings(max_examples=100)
 def test_mean_euler_sign_coherence_and_parity(t):
-    # mean_euler itself raises if the per-stratum signs disagree with the
-    # global prefactor; this exercises it across random tuples up to L = 8
+    # the sum over the strata with the per-stratum signs against the lattice
+    # sum with the global prefactor, across random tuples up to L = 8
     report = mean_euler(t)
+    stratified, lattice = sign_coherence(t, report)
+    assert stratified == lattice
     assert (report.value is None) == (report.total_index == 0)
     for s in report.strata:
         assert (s.mu_rs - (t.n + 1 - s.m_t)) % 2 == 0

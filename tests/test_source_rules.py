@@ -234,7 +234,10 @@ def test_package_imports_only_the_standard_library():
 # the private names one module may import from another: the table-level
 # seams that let a caller build one subset lattice or one set of masks and
 # read several quantities from it
-PRIVATE_SEAMS = frozenset({"_verdict", "_mean_euler", "_chi_m", "_strata_rows", "_chi_s1"})
+PRIVATE_SEAMS = frozenset({
+    "_verdict", "_bits", "_mean_euler", "_chi_m", "_chi_numerator", "_strata_rows",
+    "_build_strata", "_chi_s1",
+})
 
 
 def private_imports(source: str, package: str = "brieskorn") -> list[int]:
@@ -264,6 +267,7 @@ def private_imports(source: str, package: str = "brieskorn") -> list[int]:
         ("from ..brieskorn import _x", [1]),
         ("from .reeb import _chi_m", []),
         ("from .reeb import _strata_rows, chi_m", []),
+        ("from .reeb import _build_strata, _chi_numerator\nfrom .topology import _bits", []),
     ],
 )
 def test_private_import_rule(source, lines):
@@ -327,9 +331,11 @@ def test_package_all_lists_exactly_the_public_names():
     assert found == []
 
 
-# item 8 of verify-paper compares the subset lattice with two oracles; they
-# are a second route only while they read nothing from the package
-ORACLES = ("_direct_frequencies", "_recurrence_frequencies")
+# items 8 and 6 of verify-paper compare the subset lattice with oracles: the
+# claiming count and the recurrence of the frequencies, and the positions by
+# division and the stratified sum; they are a second route only while they
+# read nothing from the package
+ORACLES = ("_direct_frequencies", "_recurrence_frequencies", "_stratified_route")
 
 
 def package_names_in(source: str, package: str = "brieskorn") -> list[int]:
@@ -378,7 +384,8 @@ def test_oracle_independence_rule(source, lines):
 
 
 def test_item_8_oracles_read_nothing_from_the_package():
-    # the claiming count and the period recurrence use only the periods and
+    # the claiming count and the period recurrence use only the periods,
+    # and item 6's stratified route only the entries and the strata, with
     # the standard library, so they stay off the subset lattice they check
     source = (Path(brieskorn.__file__).parent / "verify.py").read_text(encoding="utf-8")
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from brieskorn.topology import (
     subset_lattice,
     subset_lattices,
 )
+import oracles
 from oracles import (
     alternating_kappa,
     brieskorn_pham_kappa,
@@ -250,47 +252,65 @@ def test_lattice_matches_the_loop_kernel_on_drawn_tuples(entries):
     assert subset_lattice(t, DEFAULT_LIMITS) == loop_subset_lattice(t, DEFAULT_LIMITS)
 
 
-def _planted_lcm(monkeypatch, wrong):
-    # math.lcm as the lattice calls it, with `wrong(m, e, lcm)` in its place
+def _planted_lcm(monkeypatch, wrong, module=topology):
+    # `module`'s binding of `math`, with `wrong(m, e, lcm)` as its lcm of two
+    # values; `math` itself and every other module keep the real one
     real = math.lcm
-    monkeypatch.setattr(topology.math, "lcm", lambda m, e: wrong(m, e, real(m, e)))
+    planted = SimpleNamespace(**{**vars(math), "lcm": lambda m, e: wrong(m, e, real(m, e))})
+    monkeypatch.setattr(module, "math", planted)
+
+
+def _lcm_180_as_360(m, e, r):
+    # lcm(4, 5, 9) = 180 read as 360, which does not divide 4 * 5 * 9
+    return 2 * r if r == 180 else r
+
+
+def _lcm_of_4_and_6_as_24(m, e, r):
+    # lcm(4, 6) read as their product 24: every product still divides, but
+    # the pair's quotient is 1, not gcd(4, 6) = 2
+    return m * e if {m, e} == {4, 6} else r
+
+
+def _refused_by_the_loop_kernel_alone(monkeypatch, wrong, entries, message):
+    # The kernel checks nothing of what it computes: with the lcm planted in
+    # it, its tables differ from the loop kernel's, and the loop kernel,
+    # with the same lcm planted, refuses them with `message`.
+    ts = [make_tuple(e) for e in entries]
+    _planted_lcm(monkeypatch, wrong)
+    got = [subset_lattice(ts[0], DEFAULT_LIMITS)] if len(ts) == 1 else [
+        *subset_lattices(ts, DEFAULT_LIMITS)]
+    assert got != [loop_subset_lattice(t, DEFAULT_LIMITS) for t in ts]
+    _planted_lcm(monkeypatch, wrong, oracles)
+    with pytest.raises(BrieskornError) as exc:
+        for t in ts:
+            loop_subset_lattice(t, DEFAULT_LIMITS)
+    assert str(exc.value) == message
 
 
 def test_lattice_refuses_an_lcm_that_does_not_divide_the_product(monkeypatch):
-    # lcm(4, 5, 9) = 180 read as 360, which does not divide 4 * 5 * 9
-    _planted_lcm(monkeypatch, lambda m, e, r: 2 * r if r == 180 else r)
-    with pytest.raises(BrieskornError) as exc:
-        subset_lattice(make_tuple([4, 5, 9, 19]), DEFAULT_LIMITS)
-    assert str(exc.value) == "lcm does not divide the product on subset 111 of (4, 5, 9, 19)"
+    _refused_by_the_loop_kernel_alone(
+        monkeypatch, _lcm_180_as_360, [(4, 5, 9, 19)],
+        "lcm does not divide the product on subset 111 of (4, 5, 9, 19)")
 
 
 def test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd(monkeypatch):
-    # lcm(4, 6) read as their product 24: every product still divides, but
-    # the pair's quotient is 1, not gcd(4, 6) = 2
-    _planted_lcm(monkeypatch, lambda m, e, r: m * e if {m, e} == {4, 6} else r)
-    with pytest.raises(BrieskornError) as exc:
-        subset_lattice(make_tuple([4, 6, 5, 7]), DEFAULT_LIMITS)
-    assert str(exc.value) == "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)"
+    _refused_by_the_loop_kernel_alone(
+        monkeypatch, _lcm_of_4_and_6_as_24, [(4, 6, 5, 7)],
+        "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)")
 
 
 def test_lattices_name_the_tuple_whose_lcm_does_not_divide_the_product(monkeypatch):
-    # the planted lcm of test_lattice_refuses_an_lcm_that_does_not_divide_the_product,
     # met by the middle tuple of a chunk of three
-    _planted_lcm(monkeypatch, lambda m, e, r: 2 * r if r == 180 else r)
-    ts = [make_tuple(e) for e in ([2, 3, 5, 7], [4, 5, 9, 19], [3, 5, 7, 11])]
-    with pytest.raises(BrieskornError) as exc:
-        list(subset_lattices(ts, DEFAULT_LIMITS))
-    assert str(exc.value) == "lcm does not divide the product on subset 111 of (4, 5, 9, 19)"
+    _refused_by_the_loop_kernel_alone(
+        monkeypatch, _lcm_180_as_360, [(2, 3, 5, 7), (4, 5, 9, 19), (3, 5, 7, 11)],
+        "lcm does not divide the product on subset 111 of (4, 5, 9, 19)")
 
 
 def test_lattices_name_the_tuple_whose_pair_quotient_is_not_its_gcd(monkeypatch):
-    # the planted lcm of test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd,
     # met by the middle tuple of a chunk of three
-    _planted_lcm(monkeypatch, lambda m, e, r: m * e if {m, e} == {4, 6} else r)
-    ts = [make_tuple(e) for e in ([2, 3, 5, 7], [4, 6, 5, 7], [3, 5, 7, 11])]
-    with pytest.raises(BrieskornError) as exc:
-        list(subset_lattices(ts, DEFAULT_LIMITS))
-    assert str(exc.value) == "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)"
+    _refused_by_the_loop_kernel_alone(
+        monkeypatch, _lcm_of_4_and_6_as_24, [(2, 3, 5, 7), (4, 6, 5, 7), (3, 5, 7, 11)],
+        "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)")
 
 
 @pytest.mark.parametrize("length", range(2, 11))

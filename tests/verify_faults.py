@@ -23,13 +23,14 @@ from brieskorn.exactarith import IntPolynomial
 from brieskorn.limits import DEFAULT_LIMITS
 
 
-def _shift_first_stratum(field: str):
-    # `_build_strata` with one field of its first stratum moved by one
+def _first_stratum(field: str, change=lambda value: value + 1):
+    # `_build_strata` with one field of its first stratum changed, by default
+    # moved by one
     def fault(honest):
         def build(a, rows):
             strata = honest(a, rows)
             first = strata[0]
-            return (first._replace(**{field: getattr(first, field) + 1}),) + strata[1:]
+            return (first._replace(**{field: change(getattr(first, field))}),) + strata[1:]
         return build
     return fault
 
@@ -105,7 +106,12 @@ FAULTS = [
     ("dominance-margin", 5, (), "brieskorn.exactarith.dominance_margin",
      lambda honest: lambda p, radius: (honest(p, radius)[0], honest(p, radius)[1] + 1)),
     ("stratum-index-parity", 6, (), "brieskorn.reeb._build_strata",
-     _shift_first_stratum("mu_rs")),
+     _first_stratum("mu_rs")),
+    # a stratum off its lattice row: the lattice sum does not see it
+    ("stratum-chi-s1", 6, (), "brieskorn.reeb._build_strata", _first_stratum("chi_s1")),
+    # the first position dropped, m_t kept: only the division route sees it
+    ("stratum-positions", 6, (), "brieskorn.reeb._build_strata",
+     _first_stratum("indices", lambda indices: indices[1:])),
     ("triple-kappa", 7, (), "brieskorn.topology._lattice_chunk", _planted_kappa(0b0111, 1)),
     ("pair-chi-s1", 7, (), "brieskorn.topology._lattice_chunk", _planted_kappa(0b0011, -2)),
     ("sphere-chi-m-sign", 7, (), "brieskorn.reeb._chi_m", _negated_at_reference),
@@ -121,7 +127,7 @@ FAULTS = [
     ("isolated-exponent", 10, (), "brieskorn.reeb.has_isolated_exponent",
      lambda honest: lambda a: True),
     ("stratum-frequency", 11, (), "brieskorn.reeb._build_strata",
-     _shift_first_stratum("frequency")),
+     _first_stratum("frequency")),
 ]
 
 
