@@ -4,15 +4,13 @@ Each item recomputes one of the package's reference results from scratch
 and reports pass/fail. Items 6 and 7 build the subset lattices of their
 tuples in chunks of one length (`topology.subset_lattices`) and read each
 table through the `reeb` seams. Item 6 is the sign-coherence oracle of
-`reeb.mean_euler`: it builds the strata as `mean_euler` does, finds the
-positions of the entries dividing each period by division and checks the
-index parity on each stratum, and compares the sum over the strata with
-the per-stratum signs with the lattice sum and its global sign on each
-tuple. Items 6 and 7 record the strata frequencies in the run's context,
-and item 8 compares those with its oracles instead of building the same
-subset lattices again: the claiming count and Moebius inversion on the
-poset of the tuple's periods, which take their periods from a subset
-walk of their own. Items that read only the value of chi_m take it from
+`reeb.mean_euler`: per stratum, positions by division and the index
+parity; per tuple, the stratified sum against the lattice sum. Items 6
+and 7 record the strata frequencies in the run's context, and item 8
+compares those with its oracles instead of building the same subset
+lattices again: the claiming count and Moebius inversion on the poset of
+the tuple's periods, which take their periods from a subset walk of
+their own. Items that read only the value of chi_m take it from
 the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table already
 built) and build no strata. Item 10 sweeps sorted prefixes and builds a
 tuple only where the last entry makes the total index 0. Everything is
@@ -134,16 +132,11 @@ def _recurrence_frequencies(periods: Sequence[int]) -> list[int]:
 
 
 def _stratified_route(entries: Sequence[int], strata) -> tuple[list[tuple[int, ...]], int]:
-    """The positions of the entries dividing each stratum's period, found by
-    division, and the sum of frequency * chi_S1 over the strata with the
-    per-stratum signs (-1)^(mu_RS - m_t), each m_t counted from those
-    positions.
-
-    Item 6's second route to what `reeb.mean_euler` reads off the subset
-    lattice: the positions there are those of a closed subset, and the sum
-    is the lattice sum times the global sign (-1)^(n+1). Every mu_RS with
-    the parity of L - m_t makes the two sums agree.
-    """
+    """Item 6's second route to the strata: the positions of the entries
+    dividing each period, found by division, and the sum of frequency *
+    chi_S1 with the per-stratum signs (-1)^(mu_RS - m_t), m_t counted from
+    those positions. Where every index parity holds, that sum is the
+    lattice sum times the global sign (-1)^(n+1)."""
     positions, total = [], 0
     for period, _, _, mu_rs, chi_s1, frequency in strata:
         idx = tuple([j for j, e in enumerate(entries) if period % e == 0])
