@@ -15,8 +15,7 @@ from brieskorn.errors import (
     InvalidInputError,
     UnsupportedLengthError,
 )
-from brieskorn.limits import Limits
-from brieskorn.limits import DEFAULT_LIMITS
+from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
     MeanEulerReport,
     Stratum,
