@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, PreconditionError
 from .limits import DEFAULT_LIMITS, Limits
-from .topology import ExponentTuple, _bits, _chi_s1, noncoprime_pair, subset_lattice
+from .topology import ExponentTuple, _chi_s1, noncoprime_pair, subset_lattice
 
 __all__ = [
     "Stratum",
@@ -85,35 +85,54 @@ class MeanEulerReport:
     strata: tuple[Stratum, ...]
 
 
-def _strata_rows(lattice: tuple[list[int], ...]) -> list[tuple[int, int, int, int]]:
-    """The strata of a `subset_lattice` table as (period, frequency, kappa,
-    subset) rows, by period: the closed subsets of two or more positions,
-    whose frequencies are nonzero, and the top period d with frequency 1.
-    A closed subset holds exactly the positions of the entries dividing its
-    period, and the kappa is theirs.
+def _closed_subsets(lcm: list[int], freq: list[int]) -> list[int]:
+    # the strata's subsets of a `subset_lattice` table, by period: the closed
+    # subsets of two or more positions, whose frequencies are nonzero, then
+    # the whole tuple. Distinct closed subsets have distinct lcms, so the
+    # periods strictly increase.
+    top = len(lcm) - 1
+    subsets = [J for J in compress(range(top), freq) if J & (J - 1)]
+    subsets.sort(key=lcm.__getitem__)
+    subsets.append(top)
+    return subsets
+
+
+def _build_strata(a: ExponentTuple, lattice: tuple[list[int], ...]) -> tuple[Stratum, ...]:
+    """The strata of the flow on `a`, read column by column off its
+    `subset_lattice` table.
+
+    Each stratum is a closed subset J of the table, and its period,
+    frequency (1 at the top) and kappa are the table's entries at J. A
+    closed subset holds exactly the positions of the entries dividing its
+    period, so `indices` is J's positions, read from one table of the
+    positions of every subset built by doubling, and `m_t` is J's bit
+    count. Only the Robbin-Salamon index is found by division.
     """
     lcm, freq, kap = lattice
-    top = len(lcm) - 1
-    rows = sorted((lcm[J], freq[J], kap[J], J) for J in compress(range(top), freq) if J & (J - 1))
-    return rows + [(lcm[-1], 1, kap[-1], top)]
-
-
-def _build_strata(
-    a: ExponentTuple, rows: Sequence[tuple[int, int, int, int]]
-) -> tuple[Stratum, ...]:
-    """The strata of the flow on `a` for its (period, frequency, kappa,
-    subset) rows."""
     entries = a.entries
-    strata = []
-    for T, frequency, kappa, J in rows:
-        indices = tuple(_bits(J))
-        m_t = len(indices)
-        # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e); an entry
-        # not dividing T adds an odd term, so mu has the parity of L - m_t
-        # (verify-paper item 6 checks that on every stratum it reads)
-        mu = sum([T // e - -T // e for e in entries]) - 2 * T
-        strata.append(Stratum(T, indices, m_t, mu, _chi_s1(m_t, kappa), frequency))
-    return tuple(strata)
+    subsets = _closed_subsets(lcm, freq)
+    positions: list[tuple[int, ...]] = [()]
+    for j in range(len(entries)):  # positions[J] lists the set bits of J, ascending
+        positions += [p + (j,) for p in positions]
+    periods = list(map(lcm.__getitem__, subsets))
+    frequency = list(map(freq.__getitem__, subsets))
+    frequency[-1] = 1
+    m = list(map(int.bit_count, subsets))
+    # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e); an entry not
+    # dividing T adds an odd term, so mu has the parity of L - m_t
+    # (verify-paper item 6 checks that on every stratum it reads)
+    mu = [sum([T // e - -T // e for e in entries]) - 2 * T for T in periods]
+    chi = map(_chi_s1, m, map(kap.__getitem__, subsets))
+    rows = zip(periods, map(positions.__getitem__, subsets), m, mu, chi, frequency)
+    return tuple(map(tuple.__new__, repeat(Stratum), rows))
+
+
+def _frequencies(lattice: tuple[list[int], ...]) -> list[int]:
+    """`frequencies(a)` from the `subset_lattice` table of `a`."""
+    lcm, freq, _ = lattice
+    frequency = list(map(freq.__getitem__, _closed_subsets(lcm, freq)))
+    frequency[-1] = 1
+    return frequency
 
 
 def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
@@ -121,7 +140,7 @@ def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     below the top period d that no larger period divides. The periods are the
     lcms of two or more entries; the top period d itself has frequency 1 by
     convention."""
-    return [f for _, f, _, _ in _strata_rows(subset_lattice(a, limits))]
+    return _frequencies(subset_lattice(a, limits))
 
 
 def total_rs_index(a: ExponentTuple) -> int:
@@ -179,7 +198,7 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
     (`subset_lattices`)."""
     total = total_rs_index(a)
     value = Fraction((-1) ** (a.n + 1) * _chi_numerator(lattice), abs(total)) if total else None
-    return MeanEulerReport(total, value, _build_strata(a, _strata_rows(lattice)))
+    return MeanEulerReport(total, value, _build_strata(a, lattice))
 
 
 def mean_euler_coprime(a: ExponentTuple) -> Fraction:

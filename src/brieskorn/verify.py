@@ -47,7 +47,7 @@ from .reeb import (
     _build_strata,
     _chi_m,
     _chi_numerator,
-    _strata_rows,
+    _frequencies,
     chi_m,
     frequencies,
     has_isolated_exponent,
@@ -214,7 +214,7 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
     for _, group in groupby(by_length, key=attrgetter("length")):
         group = list(group)
         for t, lattice in zip(group, subset_lattices(group, limits)):
-            strata = _build_strata(t, _strata_rows(lattice))
+            strata = _build_strata(t, lattice)
             recorded[tuple(sorted(t.entries))] = [s.frequency for s in strata]
             positions, stratified = _stratified_route(t.entries, strata)
             for s, idx in zip(strata, positions):
@@ -246,7 +246,7 @@ def _item_7_sphere_enumeration(limits: Limits, ctx: dict) -> tuple[bool, str]:
             chi = _chi_s1(len(idx), kap[J])
             if chi <= 0:
                 return False, f"chi_S1 = {chi} on subtuple {idx} of {t}, expected > 0"
-        recorded[tuple(sorted(t.entries))] = [f for _, f, _, _ in _strata_rows(lattice)]
+        recorded[tuple(sorted(t.entries))] = _frequencies(lattice)
         value = _chi_m(t, lattice)
         if value is None or value <= 0:
             return False, f"mean Euler characteristic of {t} is {value}, expected > 0"

@@ -28,6 +28,8 @@ from brieskorn.topology import (
     ExponentTuple,
     SphereKind,
     SphereVerdict,
+    _bits,
+    _chi_s1,
     _require_exponent_tuple,
     chi_s1,
     subset_lattice,
@@ -138,6 +140,24 @@ def per_stratum_mean_euler(a):
     numerator = sum(s.frequency * s.chi_s1 for s in strata)
     value = Fraction((-1) ** (a.n + 1) * numerator, abs(total)) if total else None
     return MeanEulerReport(total, value, tuple(strata))
+
+
+def loop_build_strata(a, lattice):
+    # the strata of `a` row by row off its `subset_lattice` table: one
+    # (period, frequency, kappa, subset) row per closed subset of two or
+    # more positions, sorted as tuples, then the top period with frequency
+    # 1; per row the positions by a bit loop and one `Stratum` call
+    lcm, freq, kap = lattice
+    top = len(lcm) - 1
+    rows = sorted((lcm[J], freq[J], kap[J], J) for J in range(top) if freq[J] and J & (J - 1))
+    rows.append((lcm[top], 1, kap[top], top))
+    strata = []
+    for T, frequency, kappa, J in rows:
+        indices = tuple(_bits(J))
+        m_t = len(indices)
+        mu = sum([T // e - -T // e for e in a.entries]) - 2 * T
+        strata.append(Stratum(T, indices, m_t, mu, _chi_s1(m_t, kappa), frequency))
+    return tuple(strata)
 
 
 def sign_coherence(a, report):

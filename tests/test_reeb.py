@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brieskorn.certify import enumerate_sphere_tuples
+from brieskorn.families import fermat_tuple
 from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
     Stratum,
+    _build_strata,
     chi_m,
     connected_sum_chi,
     frequencies,
@@ -36,6 +39,7 @@ from oracles import (
     alternating_kappa,
     brieskorn_pham_kappa,
     fraction_connected_sum,
+    loop_build_strata,
     naive_frequencies,
     pairwise_isolated_exponent,
     per_stratum_mean_euler,
@@ -180,6 +184,43 @@ def test_stratum_parity(t):
     for s in strata:
         assert (s.mu_rs - (t.n + 1 - s.m_t)) % 2 == 0
         assert (s.mu_rs - (2 * s.m_t - 4) // 2 - (t.n + 1)) % 2 == 0
+
+
+def assert_builds_like_the_loop(t):
+    # `_build_strata` reads the same records as the row-by-row oracle, each
+    # an exact `Stratum`, with strictly increasing periods
+    lattice = subset_lattice(t, DEFAULT_LIMITS)
+    strata = _build_strata(t, lattice)
+    assert strata == loop_build_strata(t, lattice)
+    assert all(type(s) is Stratum for s in strata)
+    assert all(s.period < r.period for s, r in zip(strata, strata[1:]))
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+def test_strata_builder_matches_the_row_loop_at_every_length(length):
+    # entries up to 60 repeat and share factors, so many subsets are not
+    # closed; the repeated entry is the degenerate case of one closed subset
+    rng = random.Random(length)
+    for entries in (
+        [rng.randint(2, 60) for _ in range(length)],
+        [rng.choice((6, 10, 15, 12)) for _ in range(length)],
+        [6] * length,
+    ):
+        assert_builds_like_the_loop(ExponentTuple(tuple(entries)))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        make_tuple((4, 5, 9, 19)),
+        make_tuple((2, 3, 5)),
+        make_tuple((2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
+        fermat_tuple(2, 3),
+    ],
+    ids=["sigma4", "2-3-5", "first-ten-primes", "F2-F5"],
+)
+def test_strata_builder_matches_the_row_loop_on_the_anchors(t):
+    assert_builds_like_the_loop(t)
 
 
 # ------------------------------------------------------- total index

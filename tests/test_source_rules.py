@@ -235,8 +235,8 @@ def test_package_imports_only_the_standard_library():
 # seams that let a caller build one subset lattice or one set of masks and
 # read several quantities from it
 PRIVATE_SEAMS = frozenset({
-    "_verdict", "_bits", "_mean_euler", "_chi_m", "_chi_numerator", "_strata_rows",
-    "_build_strata", "_chi_s1",
+    "_verdict", "_mean_euler", "_chi_m", "_chi_numerator", "_frequencies", "_build_strata",
+    "_chi_s1",
 })
 
 
@@ -266,8 +266,9 @@ def private_imports(source: str, package: str = "brieskorn") -> list[int]:
         ("from brieskorn.certify import _parse_tuple", [1]),
         ("from ..brieskorn import _x", [1]),
         ("from .reeb import _chi_m", []),
-        ("from .reeb import _strata_rows, chi_m", []),
-        ("from .reeb import _build_strata, _chi_numerator\nfrom .topology import _bits", []),
+        ("from .reeb import _strata_rows, chi_m", [1]),
+        ("from .reeb import _build_strata, _chi_numerator\nfrom .topology import _bits", [2]),
+        ("from .reeb import _frequencies, _build_strata", []),
     ],
 )
 def test_private_import_rule(source, lines):
@@ -383,7 +384,7 @@ def test_oracle_independence_rule(source, lines):
     assert package_names_in(source) == lines
 
 
-def test_item_8_oracles_read_nothing_from_the_package():
+def test_items_6_and_8_oracles_read_nothing_from_the_package():
     # the claiming count and the period recurrence use only the periods,
     # and item 6's stratified route only the entries and the strata, with
     # the standard library, so they stay off the subset lattice they check

@@ -287,26 +287,26 @@ def _refused_by_the_loop_kernel_alone(monkeypatch, wrong, entries, message):
     assert str(exc.value) == message
 
 
-def test_lattice_refuses_an_lcm_that_does_not_divide_the_product(monkeypatch):
+def test_loop_kernel_alone_refuses_an_lcm_that_does_not_divide_the_product(monkeypatch):
     _refused_by_the_loop_kernel_alone(
         monkeypatch, _lcm_180_as_360, [(4, 5, 9, 19)],
         "lcm does not divide the product on subset 111 of (4, 5, 9, 19)")
 
 
-def test_lattice_refuses_a_pair_quotient_that_is_not_its_gcd(monkeypatch):
+def test_loop_kernel_alone_refuses_a_pair_quotient_that_is_not_its_gcd(monkeypatch):
     _refused_by_the_loop_kernel_alone(
         monkeypatch, _lcm_of_4_and_6_as_24, [(4, 6, 5, 7)],
         "product/lcm quotient check fails at 0, 1 of (4, 6, 5, 7)")
 
 
-def test_lattices_name_the_tuple_whose_lcm_does_not_divide_the_product(monkeypatch):
+def test_loop_kernel_alone_names_the_chunk_tuple_whose_lcm_does_not_divide_the_product(monkeypatch):
     # met by the middle tuple of a chunk of three
     _refused_by_the_loop_kernel_alone(
         monkeypatch, _lcm_180_as_360, [(2, 3, 5, 7), (4, 5, 9, 19), (3, 5, 7, 11)],
         "lcm does not divide the product on subset 111 of (4, 5, 9, 19)")
 
 
-def test_lattices_name_the_tuple_whose_pair_quotient_is_not_its_gcd(monkeypatch):
+def test_loop_kernel_alone_names_the_chunk_tuple_whose_pair_quotient_is_not_its_gcd(monkeypatch):
     # met by the middle tuple of a chunk of three
     _refused_by_the_loop_kernel_alone(
         monkeypatch, _lcm_of_4_and_6_as_24, [(2, 3, 5, 7), (4, 6, 5, 7), (3, 5, 7, 11)],

@@ -17,7 +17,7 @@ import brieskorn.verify
 from brieskorn.errors import BrieskornError, CapacityError
 from brieskorn.families import sigma_m_tuple
 from brieskorn.limits import DEFAULT_LIMITS, Limits
-from brieskorn.reeb import frequencies, mean_euler
+from brieskorn.reeb import Stratum, frequencies, mean_euler
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import (
     _direct_frequencies,
@@ -29,6 +29,7 @@ from brieskorn.verify import (
     _item_10_isolated_exponent,
     _isolated_census,
     _recurrence_frequencies,
+    _stratified_route,
 )
 from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
 from verify_faults import FAULTS, replace_everywhere, run_case
@@ -260,6 +261,17 @@ def test_item_6_builds_its_lattices_in_chunks_of_one_length(monkeypatch):
     assert singles == []
 
 
+def test_stratified_route_signs_each_stratum_by_its_own_index_parity():
+    # hand-built strata of (2, 3, 5) whose parities disagree, which item 6
+    # refuses before it sums: the global sign (-1)^3 would give -4 - 2.
+    # The first stratum's m_t field is off as well; the route counts m_t
+    # from the positions it finds, so mu_RS - m_t is 2 - 2 there, not 2 - 3.
+    strata = [Stratum(6, (0, 1), 3, 2, 1, 4), Stratum(30, (0, 1, 2), 3, 0, 2, 1)]
+    positions, total = _stratified_route((2, 3, 5), strata)
+    assert positions == [(0, 1), (0, 1, 2)]
+    assert total == 4 - 2
+
+
 def test_item_8_builds_lattices_only_for_tuples_items_6_and_7_did_not(monkeypatch, suite_ctx):
     lattices = calls_to(monkeypatch, "subset_lattice")
     passed, detail = _item_8_frequency_oracle(DEFAULT_LIMITS, suite_ctx)
@@ -292,9 +304,9 @@ def built_strata(item: int, needs: tuple[int, ...] = ()) -> list[tuple[int, ...]
     built = []
 
     def counting(honest):
-        def build(a, rows):
+        def build(a, lattice):
             built.append(a.entries)
-            return honest(a, rows)
+            return honest(a, lattice)
         return build
 
     case = ("count-strata", item, needs, "brieskorn.reeb._build_strata", counting)

@@ -27,8 +27,8 @@ def _first_stratum(field: str, change=lambda value: value + 1):
     # `_build_strata` with one field of its first stratum changed, by default
     # moved by one
     def fault(honest):
-        def build(a, rows):
-            strata = honest(a, rows)
+        def build(a, lattice):
+            strata = honest(a, lattice)
             first = strata[0]
             return (first._replace(**{field: change(getattr(first, field))}),) + strata[1:]
         return build
