@@ -20,16 +20,16 @@ frequency * chi_S1 over those subsets, with the global sign (-1)^(n+1),
 divided by the absolute total index 2d(sum_j 1/a_j - 1); it is an invariant
 of the contact structure and is defined whenever that total index is
 nonzero. `chi_m` reads that sum straight off the table and builds no
-stratum. `mean_euler` takes the same value and also builds each `Stratum`
-in one loop over the rows: its positions are those of its closed subset,
-and only its Robbin-Salamon index is found by division. The second route
-to the sum, over the strata with the per-stratum signs, is an oracle of
-`verify-paper` item 6 and the tests, not of this module.
-`_chi_m` and `_mean_euler` take a table already built, so a caller with
-many tuples of one length builds their tables a chunk at a time
-(`topology.subset_lattices`) and reads each through them. A
-`Stratum` is a named tuple, so it unpacks in field order and compares equal
-to a plain tuple of its values.
+stratum. `mean_euler` takes the same value and also builds the strata, each
+field one column read off the table at the closed subsets: the positions of
+a stratum are those of its subset, and only its Robbin-Salamon index is
+found by division. The second route to the sum, over the strata with the
+per-stratum signs, is an oracle of `verify-paper` item 6 and the tests, not
+of this module. `_chi_m`, `_mean_euler`, `_build_strata` and `_frequencies`
+take a table already built, so a caller with many tuples of one length
+builds their tables a chunk at a time (`topology.subset_lattices`) and
+reads each through them. A `Stratum` is a named tuple, so it unpacks in
+field order and compares equal to a plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -183,10 +183,11 @@ def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerRe
 
     The value is the lattice sum with the global sign (-1)^(n+1), as
     `chi_m` gives it. Each stratum takes its positions, m_t, kappa and
-    frequency from its row of the lattice and its Robbin-Salamon index from
-    division. `verify-paper` item 6 and the tests check that the sum over
-    the strata with the per-stratum signs (-1)^(mu_RS - m_t) (the parity of
-    mu_RS - (2*m_t - 4)/2) agrees with the lattice sum.
+    frequency from the lattice entries at its closed subset and its
+    Robbin-Salamon index from division. `verify-paper` item 6 and the tests
+    check that the sum over the strata with the per-stratum signs
+    (-1)^(mu_RS - m_t) (the parity of mu_RS - (2*m_t - 4)/2) agrees with the
+    lattice sum.
     """
     # the lattice first: it refuses what is not an ExponentTuple
     return _mean_euler(a, subset_lattice(a, limits))
