@@ -20,12 +20,15 @@ frequency * chi_S1 over those subsets, with the global sign (-1)^(n+1),
 divided by the absolute total index 2d(sum_j 1/a_j - 1); it is an invariant
 of the contact structure and is defined whenever that total index is
 nonzero. `chi_m` reads that sum straight off the table and builds no
-stratum. `mean_euler` takes the same value and also builds the strata, each
-field one column read off the table at the closed subsets: the positions of
-a stratum are those of its subset, and only its Robbin-Salamon index is
-found by division. The second route to the sum, over the strata with the
-per-stratum signs, is an oracle of `verify-paper` item 6 and the tests, not
-of this module. `_chi_m`, `_mean_euler`, `_build_strata` and `_frequencies`
+stratum. `mean_euler` builds the strata, each field one column read off the
+table at the closed subsets, and takes the sum off their frequency and
+`chi_S1` columns, so each `chi_S1` is computed once; the tests compare the
+two values. The positions of a stratum are those of its subset, and only
+its Robbin-Salamon index is found by division, of its period by every
+entry in one stream of quotients; it never reads the subset, so the parity
+check of `verify-paper` item 6 on it keeps its meaning. The second route to
+the sum, over the strata with the per-stratum signs, is an oracle of
+`verify-paper` item 6 and the tests, not of this module. `_chi_m`, `_mean_euler`, `_build_strata` and `_frequencies`
 take a table already built, so a caller with many tuples of one length
 builds their tables a chunk at a time (`topology.subset_lattices`) and
 reads each through them. A `Stratum` is a named tuple, so it unpacks in
@@ -38,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, PreconditionError
@@ -88,43 +92,57 @@ class MeanEulerReport:
 def _closed_subsets(lcm: list[int], freq: list[int]) -> list[int]:
     # the strata's subsets of a `subset_lattice` table, by period: the closed
     # subsets of two or more positions, whose frequencies are nonzero, then
-    # the whole tuple. Distinct closed subsets have distinct lcms, so the
-    # periods strictly increase.
+    # the whole tuple. The empty subset and the singletons are zeroed in a
+    # copy of the frequencies, so `compress` keeps the rest with no test per
+    # subset. Distinct closed subsets have distinct lcms, so the periods
+    # strictly increase.
     top = len(lcm) - 1
-    subsets = [J for J in compress(range(top), freq) if J & (J - 1)]
+    closed = freq[:top]
+    closed[0] = 0
+    for j in range(top.bit_length()):
+        closed[1 << j] = 0
+    subsets = list(compress(range(top), closed))
     subsets.sort(key=lcm.__getitem__)
     subsets.append(top)
     return subsets
 
 
-def _build_strata(a: ExponentTuple, lattice: tuple[list[int], ...]) -> tuple[Stratum, ...]:
+def _build_strata(a: ExponentTuple,
+                  lattice: tuple[list[int], ...]) -> tuple[tuple[Stratum, ...], int]:
     """The strata of the flow on `a`, read column by column off its
-    `subset_lattice` table.
+    `subset_lattice` table, and the sum of frequency * chi_S1 over them.
 
     Each stratum is a closed subset J of the table, and its period,
     frequency (1 at the top) and kappa are the table's entries at J. A
     closed subset holds exactly the positions of the entries dividing its
     period, so `indices` is J's positions, read from one table of the
     positions of every subset built by doubling, and `m_t` is J's bit
-    count. Only the Robbin-Salamon index is found by division.
+    count. Only the Robbin-Salamon index is found by division, in one
+    stream of quotients over the periods and entries. The sum is taken
+    off the `chi_S1` column the strata hold, so each is computed once.
     """
     lcm, freq, kap = lattice
     entries = a.entries
+    L = len(entries)
     subsets = _closed_subsets(lcm, freq)
     positions: list[tuple[int, ...]] = [()]
-    for j in range(len(entries)):  # positions[J] lists the set bits of J, ascending
+    for j in range(L):  # positions[J] lists the set bits of J, ascending
         positions += [p + (j,) for p in positions]
     periods = list(map(lcm.__getitem__, subsets))
     frequency = list(map(freq.__getitem__, subsets))
     frequency[-1] = 1
     m = list(map(int.bit_count, subsets))
-    # floor(T/e) + ceil(T/e), with the ceiling as -floor(-T/e); an entry not
-    # dividing T adds an odd term, so mu has the parity of L - m_t
-    # (verify-paper item 6 checks that on every stratum it reads)
-    mu = [sum([T // e - -T // e for e in entries]) - 2 * T for T in periods]
-    chi = map(_chi_s1, m, map(kap.__getitem__, subsets))
+    # floor(T/e) + ceil(T/e) = T//e + (T-1)//e + 1, the quotients streamed
+    # and summed L at a time, one period each. An entry dividing T adds the
+    # odd term 2T/e - 1 and any other entry an even term, so mu has the
+    # parity of L - m_t whatever J is (verify-paper item 6 checks that on
+    # every stratum it reads)
+    q = (T // e + U // e for T in periods for U in (T - 1,) for e in entries)
+    mu = [s + L - 2 * T for s, T in zip(map(sum, zip(*[q] * L)), periods)]
+    chi = list(map(_chi_s1, m, map(kap.__getitem__, subsets)))
     rows = zip(periods, map(positions.__getitem__, subsets), m, mu, chi, frequency)
-    return tuple(map(tuple.__new__, repeat(Stratum), rows))
+    strata = tuple(map(tuple.__new__, repeat(Stratum), rows))
+    return strata, sum(map(mul, frequency, chi))
 
 
 def _frequencies(lattice: tuple[list[int], ...]) -> list[int]:
@@ -151,7 +169,8 @@ def total_rs_index(a: ExponentTuple) -> int:
 
 def _chi_numerator(lattice: tuple[list[int], ...]) -> int:
     # sum of frequency * chi_S1 over the strata: the top entry with frequency
-    # 1, and every subset of two or more positions with a nonzero frequency
+    # 1, and every subset of two or more positions with a nonzero frequency;
+    # `_chi_m` reads it, as it builds no strata
     _, freq, kap = lattice
     top = len(kap) - 1
     total = _chi_s1(top.bit_count(), kap[top])
@@ -181,10 +200,12 @@ def _chi_m(a: ExponentTuple, lattice: tuple[list[int], ...]) -> Fraction | None:
 def mean_euler(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> MeanEulerReport:
     """Mean Euler characteristic with its strata.
 
-    The value is the lattice sum with the global sign (-1)^(n+1), as
-    `chi_m` gives it. Each stratum takes its positions, m_t, kappa and
-    frequency from the lattice entries at its closed subset and its
-    Robbin-Salamon index from division. `verify-paper` item 6 and the tests
+    The value is the sum of frequency * chi_S1 over the strata, taken off
+    the builder's columns, with the global sign (-1)^(n+1); `chi_m` reads
+    the same sum off the lattice without building strata. Each stratum
+    takes its positions, m_t, kappa and frequency from the lattice entries
+    at its closed subset and its Robbin-Salamon index from division of its
+    period by every entry. `verify-paper` item 6 and the tests
     check that the sum over the strata with the per-stratum signs
     (-1)^(mu_RS - m_t) (the parity of mu_RS - (2*m_t - 4)/2) agrees with the
     lattice sum.
@@ -198,8 +219,9 @@ def _mean_euler(a: ExponentTuple, lattice: tuple[list[int], ...]) -> MeanEulerRe
     that read other entries of that table too or build it in a chunk
     (`subset_lattices`)."""
     total = total_rs_index(a)
-    value = Fraction((-1) ** (a.n + 1) * _chi_numerator(lattice), abs(total)) if total else None
-    return MeanEulerReport(total, value, _build_strata(a, lattice))
+    strata, numerator = _build_strata(a, lattice)
+    value = Fraction((-1) ** (a.n + 1) * numerator, abs(total)) if total else None
+    return MeanEulerReport(total, value, strata)
 
 
 def mean_euler_coprime(a: ExponentTuple) -> Fraction:

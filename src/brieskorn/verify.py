@@ -214,7 +214,7 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
     for _, group in groupby(by_length, key=attrgetter("length")):
         group = list(group)
         for t, lattice in zip(group, subset_lattices(group, limits)):
-            strata = _build_strata(t, lattice)
+            strata, _ = _build_strata(t, lattice)
             recorded[tuple(sorted(t.entries))] = [s.frequency for s in strata]
             positions, stratified = _stratified_route(t.entries, strata)
             for s, idx in zip(strata, positions):

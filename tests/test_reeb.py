@@ -18,6 +18,7 @@ from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
     Stratum,
     _build_strata,
+    _chi_numerator,
     chi_m,
     connected_sum_chi,
     frequencies,
@@ -188,10 +189,12 @@ def test_stratum_parity(t):
 
 def assert_builds_like_the_loop(t):
     # `_build_strata` reads the same records as the row-by-row oracle, each
-    # an exact `Stratum`, with strictly increasing periods
+    # an exact `Stratum`, with strictly increasing periods, and its numerator
+    # is the lattice sum
     lattice = subset_lattice(t, DEFAULT_LIMITS)
-    strata = _build_strata(t, lattice)
+    strata, numerator = _build_strata(t, lattice)
     assert strata == loop_build_strata(t, lattice)
+    assert numerator == _chi_numerator(lattice)
     assert all(type(s) is Stratum for s in strata)
     assert all(s.period < r.period for s, r in zip(strata, strata[1:]))
 
@@ -221,6 +224,35 @@ def test_strata_builder_matches_the_row_loop_at_every_length(length):
 )
 def test_strata_builder_matches_the_row_loop_on_the_anchors(t):
     assert_builds_like_the_loop(t)
+
+
+# entries up to 10^12, many of them multiples of 60, so that the periods run
+# to dozens of digits and many subsets are not closed
+large_entries = st.one_of(st.integers(min_value=2, max_value=10**12),
+                          st.integers(min_value=1, max_value=10**10).map(lambda k: 60 * k))
+
+
+@given(st.lists(large_entries, min_size=2, max_size=6).map(lambda xs: ExponentTuple(tuple(xs))))
+@settings(max_examples=60, deadline=None)
+def test_strata_builder_matches_the_row_loop_on_large_entries(t):
+    assert_builds_like_the_loop(t)
+    assert mean_euler(t).value == chi_m(t)
+
+
+def test_robbin_salamon_index_divides_the_period_and_reads_no_subset():
+    # (2, 4, 3) with a frequency planted at J = 0b110, a subset that is not
+    # closed: its lcm 12 is the top period, which all three entries divide,
+    # so the builder makes a stratum of m_t = 2 there. Its index comes from
+    # the period alone, with the parity of L - 3, not of L - m_t
+    t = make_tuple((2, 4, 3))
+    lcm, freq, kap = subset_lattice(t, DEFAULT_LIMITS)
+    freq = freq[:]
+    freq[0b110] = 1
+    strata, _ = _build_strata(t, (lcm, freq, kap))
+    [planted] = [s for s in strata if s.indices == (1, 2)]
+    assert (planted.period, planted.m_t) == (12, 2)
+    assert planted.mu_rs == total_rs_index(t)
+    assert (planted.mu_rs - (t.n + 1 - planted.m_t)) % 2 == 1
 
 
 # ------------------------------------------------------- total index

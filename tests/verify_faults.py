@@ -25,12 +25,13 @@ from brieskorn.limits import DEFAULT_LIMITS
 
 def _first_stratum(field: str, change=lambda value: value + 1):
     # `_build_strata` with one field of its first stratum changed, by default
-    # moved by one
+    # moved by one, and its numerator kept
     def fault(honest):
         def build(a, lattice):
-            strata = honest(a, lattice)
+            strata, numerator = honest(a, lattice)
             first = strata[0]
-            return (first._replace(**{field: change(getattr(first, field))}),) + strata[1:]
+            changed = first._replace(**{field: change(getattr(first, field))})
+            return (changed,) + strata[1:], numerator
         return build
     return fault
 

@@ -29,7 +29,9 @@ wins (ties count for neither side). Three verdicts follow:
 - `within_parent_iqr`: the change's median is no worse than the parent's
   by more than the parent's IQR, a stricter test than the bound.
 
-Every run made is kept under `parent` and `change`.
+Every run made is kept under `parent` and `change`. The command exits 1,
+after writing its record, when any end-to-end metric of any compared
+workload reads "worse".
 """
 
 from __future__ import annotations
@@ -106,6 +108,20 @@ def regression(figures: dict) -> str:
     if figures["parent_iqr"] > figures["bound"] * scale and not figures["all_change_runs_better"]:
         return "unresolved"
     return "within bound" if -figures["gain"] <= figures["bound"] * scale else "worse"
+
+
+def comparisons(record: dict) -> list[tuple[str, dict]]:
+    """(workload, figures per metric) for the claimed workload, then each
+    workload named by --other."""
+    return [(record["workload"], record["comparison"]),
+            *((w, o["comparison"]) for w, o in record["other_workloads"].items())]
+
+
+def worse(record: dict) -> list[str]:
+    """"workload metric" for each metric of each compared workload whose
+    regression reads "worse"."""
+    return [f"{workload} {name}" for workload, figures in comparisons(record)
+            for name, f in figures.items() if f["regression"] == "worse"]
 
 
 def export(rev: str, dest: Path) -> str:
@@ -200,8 +216,7 @@ def main() -> int:
             "runs": {workload: pair[side] for workload, pair in runs.items()},
         }
 
-    for workload, figures in [(args.workload, comparison), *(
-            (w, o["comparison"]) for w, o in record["other_workloads"].items())]:
+    for workload, figures in comparisons(record):
         for name, f in figures.items():
             print(f"{workload} {name}: parent {f['parent_median']:.6g} -> change "
                   f"{f['change_median']:.6g} ({f['change_vs_parent']:+.2%}), wins "
@@ -210,6 +225,9 @@ def main() -> int:
                   f"within parent IQR {f['within_parent_iqr']}")
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if bad := worse(record):
+        print(f"worse than the parent beyond the bound: {', '.join(bad)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -94,3 +95,50 @@ def test_sides_alternate_seed_by_seed():
         ("parent", "change"), ("change", "parent"), ("parent", "change"), ("parent", "change")]
     assert bp.parse_seeds("1-3") == [1, 2, 3]
     assert bp.parse_seeds("4,9") == [4, 9]
+
+
+def test_a_worse_metric_on_any_compared_workload_is_named():
+    # the record as main() writes it, from canned runs: the claimed workload
+    # gains, and one other workload is 30% slower, beyond the 25% bound
+    def record(other_walls):
+        return {"workload": "strata",
+                "comparison": bp.compare(runs(PARENT), runs(CHANGE), METRICS),
+                "other_workloads": {"search": {"comparison": bp.compare(
+                    runs(PARENT), runs(other_walls), METRICS)}}}
+
+    assert [w for w, _ in bp.comparisons(record(PARENT))] == ["strata", "search"]
+    assert bp.worse(record(PARENT)) == []
+    assert bp.worse(record([p * 1.2 for p in PARENT])) == []
+    assert bp.worse(record([p * 1.3 for p in PARENT])) == ["search wall_s"]
+    # the claimed workload is read too
+    slower = {"workload": "strata",
+              "comparison": bp.compare(runs(PARENT), runs([p * 1.3 for p in PARENT]), METRICS),
+              "other_workloads": {}}
+    assert bp.worse(slower) == ["strata wall_s"]
+
+
+def test_main_writes_its_record_then_exits_1_on_a_worse_metric(tmp_path, monkeypatch):
+    # main() on canned runs: no commit is exported, and each side's runner
+    # reads a fixed wall per workload; search runs 30% slower on the change
+    walls = {"parent": {"strata": 0.50, "search": 0.50},
+             "change": {"strata": 0.40, "search": 0.65}}
+
+    def runner(side):
+        def run_seeds(workload, seeds, seconds, trace):
+            w = walls[side][workload]
+            return [{"metrics": {name: {"value": value, "unit": ""} for name, value in (
+                ("wall_s", w), ("ops_per_s", 10 / w), ("peak_rss_mb", 20.0),
+                ("setup_s", 0.1))}}]
+        return run_seeds
+
+    monkeypatch.setattr(bp, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(bp, "load_runner", lambda copy, side: runner(side))
+    out = tmp_path / "record.json"
+    argv = ["bench_pairs.py", "--parent", "p", "--change", "c", "--workload", "strata",
+            "--seeds", "1-2", "--other", "search", "--other-seeds", "1-2", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bp.main() == 1
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert bp.worse(record) == ["search wall_s"]
+    walls["change"]["search"] = 0.50
+    assert bp.main() == 0
