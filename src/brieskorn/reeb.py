@@ -28,11 +28,12 @@ its Robbin-Salamon index is found by division, of its period by every
 entry in one stream of quotients; it never reads the subset, so the parity
 check of `verify-paper` item 6 on it keeps its meaning. The second route to
 the sum, over the strata with the per-stratum signs, is an oracle of
-`verify-paper` item 6 and the tests, not of this module. `_chi_m`, `_mean_euler`, `_build_strata` and `_frequencies`
-take a table already built, so a caller with many tuples of one length
-builds their tables a chunk at a time (`topology.subset_lattices`) and
-reads each through them. A `Stratum` is a named tuple, so it unpacks in
-field order and compares equal to a plain tuple of its values.
+`verify-paper` item 6 and the tests, not of this module. `_chi_m`,
+`_mean_euler`, `_build_strata` and `_frequencies` take a table already
+built, so a caller with many tuples of one length builds their tables a
+chunk at a time (`topology.subset_lattices`) and reads each through them.
+A `Stratum` is a named tuple, so it unpacks in field order and compares
+equal to a plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def total_rs_index(a: ExponentTuple) -> int:
 def _chi_numerator(lattice: tuple[list[int], ...]) -> int:
     # sum of frequency * chi_S1 over the strata: the top entry with frequency
     # 1, and every subset of two or more positions with a nonzero frequency;
-    # `_chi_m` reads it, as it builds no strata
+    # read by `_chi_m`, which builds no strata, and by verify-paper item 6
     _, freq, kap = lattice
     top = len(kap) - 1
     total = _chi_s1(top.bit_count(), kap[top])
