@@ -24,7 +24,7 @@ from .families import closed_form_checks, fermat_asymptotics_report, sigma_famil
 from .limits import Limits, limits_from_env
 from .reeb import _mean_euler, connected_sum_chi
 from .serialize import fraction_obj, parse_int, tuple_obj
-from .topology import ExponentTuple, _chi_s1, evaluate_criterion, subset_lattice
+from .topology import ExponentTuple, evaluate_criterion, subset_lattice
 from .verify import run_reproduction_suite
 
 SCHEMA_VERSION = 2
@@ -134,7 +134,7 @@ def _cmd_invariants(args) -> int:
     lattice = subset_lattice(t, limits)  # chi_m, kappa and chi_S1 all read this one table
     report = _mean_euler(t, lattice)
     k = lattice[2][-1]
-    chi = _chi_s1(t.length, k)
+    chi = report.strata[-1].chi_s1  # the top stratum is the whole tuple
 
     chi_m_str = str(report.value) if report.value is not None else "undefined (mu_RS = 0)"
     human = [

@@ -5,13 +5,16 @@ and reports pass/fail. Items 6 and 7 build the subset lattices of their
 tuples in chunks of one length (`topology.subset_lattices`) and read each
 table through the `reeb` seams. Item 6 is the sign-coherence oracle of
 `reeb.mean_euler`: per stratum, positions by division and the index
-parity; per tuple, the stratified sum against the lattice sum. Items 6
-and 7 record the strata frequencies in the run's context, and item 8
-compares those with its oracles instead of building the same subset
-lattices again: the claiming count and Moebius inversion on the poset of
-the tuple's periods, which take their periods from a subset walk of
-their own. Items that read only the value of chi_m take it from
-the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table already
+parity; per tuple, the builder's numerator, which is the value
+`mean_euler` reports, and the stratified sum against the lattice sum.
+Items 6 and 7 record the strata frequencies in the run's context, and
+item 8 compares those with its oracles instead of building the same
+subset lattices again: the claiming count and Moebius inversion on the
+poset of the tuple's periods, which take their periods from a subset walk
+of their own. Item 9 checks what the Fermat functions only compute: the
+product recursion on F_0, ..., F_7, and each row's closed form against
+the general algorithm. Items that read only the value of chi_m take it
+from the lattice sum (`reeb.chi_m`, or `reeb._chi_m` on a table already
 built) and build no strata. Item 10 sweeps sorted prefixes and builds a
 tuple only where the last entry makes the total index 0. Everything is
 exact arithmetic, so every check is an equality at tolerance zero; the
@@ -214,7 +217,7 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
     for _, group in groupby(by_length, key=attrgetter("length")):
         group = list(group)
         for t, lattice in zip(group, subset_lattices(group, limits)):
-            strata, _ = _build_strata(t, lattice)
+            strata, built = _build_strata(t, lattice)
             recorded[tuple(sorted(t.entries))] = [s.frequency for s in strata]
             positions, stratified = _stratified_route(t.entries, strata)
             for s, idx in zip(strata, positions):
@@ -225,6 +228,9 @@ def _item_6_parity_and_signs(limits: Limits, ctx: dict) -> tuple[bool, str]:
                     return False, f"parity violated for {t} at period {s.period}"
                 checked += 1
             sign, numerator = (-1) ** (t.n + 1), _chi_numerator(lattice)
+            if built != numerator:
+                return False, (f"strata numerator {built} of {t} != lattice "
+                               f"numerator {numerator}")
             if stratified != sign * numerator:
                 return False, (f"sign coherence failed for {t}: stratified numerator "
                                f"{stratified} != {sign} * {numerator}")
@@ -288,11 +294,19 @@ def _item_8_frequency_oracle(limits: Limits, ctx: dict) -> tuple[bool, str]:
 
 
 def _item_9_fermat_suite(limits: Limits, ctx: dict) -> tuple[bool, str]:
-    fermat_tuple(0, 7, limits)  # raises if the product recursion fails
+    numbers = fermat_tuple(0, 7, limits).entries
+    for k in range(1, len(numbers)):
+        if numbers[k] != math.prod(numbers[:k]) + 2:
+            return False, f"Fermat product recursion fails at index {k}"
     kind = sphere_kind(fermat_tuple(2, 3, limits))
     if kind is not SphereKind.SPHERE_BY_I:
         return False, f"Fermat tuple verdict is {kind.value}"
     report = fermat_asymptotics_report([2, 3, 4], 3, limits)
+    for r in report.rows:  # the closed form against the general algorithm
+        general = chi_m(r.exponents, limits)
+        if general != r.chi_m:
+            return False, (f"general route gives {general} for {r.exponents}, "
+                           f"closed form gives {r.chi_m}")
     ok = report.passed and all(r.self_sum_sign_negative for r in report.rows)
     errs = ", ".join(f"l={r.ell}: |ratio-1|={r.ratio_error.numerator}/{r.ratio_error.denominator}"
                      for r in report.rows) if not ok else ""

@@ -39,4 +39,6 @@ ENVELOPE_SHA256 = {
         "a7c01a8a6e933b669660c4409cf4c7663dba5a4765c0bb776d7f976f1d609e34",
     ("invariants", "6", "10", "15", "7", "11", "--strata", "--json"):
         "3632b08b00d066941d17acd5df3d5b0bc3c8bf38b6869804306f0c713c9aff01",
+    ("family", "fermat", "--ell", "2", "--n", "3", "--scan", "3", "--json"):
+        "c69837e9d8fdac1b4492aff178a2aaf2601d564e581bd50387ea79977db07513",
 }

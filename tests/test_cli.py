@@ -17,6 +17,7 @@ from brieskorn.certify import (
     write_certificates,
 )
 from brieskorn.cli import main
+from brieskorn.errors import BrieskornError
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import CheckResult, SuiteResult
 from envelope_schema import ENVELOPE_SCHEMA, ENVELOPE_SHA256, FRACTION_SCHEMA
@@ -491,3 +492,15 @@ def test_verify_paper_json_has_no_timings(capsys, monkeypatch):
     monkeypatch.setattr(brieskorn.cli, "run_reproduction_suite", suite(7.5))
     _, text, _ = run(capsys, "verify-paper")
     assert "(7.50s)" in text and "in 22.50s" in text
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    # a bare BrieskornError is a fault of the package, not of the input
+    def suite(limits):
+        raise BrieskornError("planted")
+
+    monkeypatch.setattr(brieskorn.cli, "run_reproduction_suite", suite)
+    code, out, err = run(capsys, "verify-paper")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: planted\n"

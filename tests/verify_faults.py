@@ -36,6 +36,15 @@ def _first_stratum(field: str, change=lambda value: value + 1):
     return fault
 
 
+def _numerator_off_by_one_at_length_six(honest):
+    # `_build_strata` with its strata kept and the numerator of every 6-entry
+    # tuple moved by one: the value `mean_euler` reports, and nothing else
+    def build(a, lattice):
+        strata, numerator = honest(a, lattice)
+        return strata, numerator + (a.length == 6)
+    return build
+
+
 def _planted_kappa(mask: int, value: int):
     # the table of the sphere (4, 5, 9, 19) gets kappa `value` on the positions in `mask`
     def fault(honest):
@@ -113,6 +122,8 @@ FAULTS = [
     # the first position dropped, m_t kept: only the division route sees it
     ("stratum-positions", 6, (), "brieskorn.reeb._build_strata",
      _first_stratum("indices", lambda indices: indices[1:])),
+    ("strata-numerator", 6, (), "brieskorn.reeb._build_strata",
+     _numerator_off_by_one_at_length_six),
     ("triple-kappa", 7, (), "brieskorn.topology._lattice_chunk", _planted_kappa(0b0111, 1)),
     ("pair-chi-s1", 7, (), "brieskorn.topology._lattice_chunk", _planted_kappa(0b0011, -2)),
     ("sphere-chi-m-sign", 7, (), "brieskorn.reeb._chi_m", _negated_at_reference),
@@ -124,6 +135,9 @@ FAULTS = [
      _oracle_off_by_one),
     ("fermat-number", 9, (), "brieskorn.families.fermat_number",
      lambda honest: lambda k, limits: honest(k, limits) + 2 * (k == 5)),
+    # far below what the asymptotic checks resolve: only the general route sees it
+    ("fermat-closed-form", 9, (), "brieskorn.families.mean_euler_coprime",
+     lambda honest: lambda t: honest(t) + Fraction(1, 10**60)),
     ("total-index", 10, (), "brieskorn.reeb.total_rs_index", lambda honest: lambda a: 0),
     ("isolated-exponent", 10, (), "brieskorn.reeb.has_isolated_exponent",
      lambda honest: lambda a: True),
