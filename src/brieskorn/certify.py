@@ -18,11 +18,10 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
@@ -40,53 +39,68 @@ CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structu
 SEARCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class NonBrieskornCertificate:
-    """Exact witness that a connected sum of two sphere tuples is not Brieskorn."""
-
+class _CertificateFields(NamedTuple):
     tuple_a: ExponentTuple
     tuple_b: ExponentTuple
     chi_a: Fraction
     chi_b: Fraction
     chi_sum: Fraction
     boundary: bool
-    # the same for every certificate, and fixed text in every file line
-    dimension: ClassVar[int] = 5
-    conclusion: ClassVar[str] = CONCLUSION
 
-    def __post_init__(self):
+
+class NonBrieskornCertificate(_CertificateFields):
+    """Exact witness that a connected sum of two sphere tuples is not Brieskorn.
+
+    A named tuple of its six fields. The checks run in `__new__`, and
+    `_make` (which `_replace` calls) goes through it too.
+    """
+
+    __slots__ = ()
+    # the same for every certificate, and fixed text in every file line
+    dimension = 5
+    conclusion = CONCLUSION
+
+    def __new__(cls, tuple_a: ExponentTuple, tuple_b: ExponentTuple, chi_a: Fraction,
+                chi_b: Fraction, chi_sum: Fraction, boundary: bool):
         # Explicit raises, not asserts: certificates read back from a file
         # must be checked under `python -O` too.
-        for side, t in (("tuple_a", self.tuple_a), ("tuple_b", self.tuple_b)):
+        for side, t in (("tuple_a", tuple_a), ("tuple_b", tuple_b)):
+            if not isinstance(t, ExponentTuple):
+                raise InvalidInputError(
+                    f"{side} must be an ExponentTuple, got {type(t).__name__}"
+                )
             if t.length != 4:
                 raise InvalidInputError(
                     f"{side} has {t.length} entries, but a 5-dimensional sphere needs 4"
                 )
-        if type(self.boundary) is not bool:
-            raise InvalidInputError(f"boundary must be a boolean, got {self.boundary!r}")
+        if type(boundary) is not bool:
+            raise InvalidInputError(f"boundary must be a boolean, got {boundary!r}")
         # chi_sum == chi_a + chi_b - 1/2 over the integers: the stored
         # denominators are positive, so cross-multiplying keeps the equation.
         try:
-            an, ad = self.chi_a.numerator, self.chi_a.denominator
-            bn, bd = self.chi_b.numerator, self.chi_b.denominator
-            sn, sd = self.chi_sum.numerator, self.chi_sum.denominator
+            an, ad = chi_a.numerator, chi_a.denominator
+            bn, bd = chi_b.numerator, chi_b.denominator
+            sn, sd = chi_sum.numerator, chi_sum.denominator
             exact = 2 * sn * ad * bd == sd * (2 * (an * bd + bn * ad) - ad * bd)
         except (AttributeError, TypeError):
             raise InvalidInputError(
                 "chi_a, chi_b and chi_sum must be exact rationals (Fraction or int), got "
-                f"{self.chi_a!r}, {self.chi_b!r}, {self.chi_sum!r}"
+                f"{chi_a!r}, {chi_b!r}, {chi_sum!r}"
             ) from None
         if not exact:
             raise InvalidInputError(
-                f"chi_sum {self.chi_sum} != chi_a + chi_b - 1/2 = "
-                f"{self.chi_a + self.chi_b - Fraction(1, 2)}"
+                f"chi_sum {chi_sum} != chi_a + chi_b - 1/2 = "
+                f"{chi_a + chi_b - Fraction(1, 2)}"
             )
         if sn > 0:
-            raise InvalidInputError(f"chi_sum {self.chi_sum} is positive, so nothing is certified")
-        if self.boundary != (sn == 0):
-            raise InvalidInputError(
-                f"boundary is {self.boundary} but chi_sum is {self.chi_sum}"
-            )
+            raise InvalidInputError(f"chi_sum {chi_sum} is positive, so nothing is certified")
+        if boundary != (sn == 0):
+            raise InvalidInputError(f"boundary is {boundary} but chi_sum is {chi_sum}")
+        return tuple.__new__(cls, (tuple_a, tuple_b, chi_a, chi_b, chi_sum, boundary))
+
+    @classmethod
+    def _make(cls, iterable) -> "NonBrieskornCertificate":
+        return cls(*iterable)
 
 
 def sphere_chi(t: ExponentTuple, what: str, limits: Limits = DEFAULT_LIMITS) -> Fraction:
@@ -189,8 +203,7 @@ def certify_non_brieskorn_pairs(
     return certificates
 
 
-@dataclass(frozen=True)
-class DistinctnessClass:
+class DistinctnessClass(NamedTuple):
     chi_sum: Fraction
     certificates: tuple[NonBrieskornCertificate, ...]
     inconclusive: bool

@@ -22,9 +22,9 @@ from .certify import (
 from .errors import BrieskornError, CapacityError, InvalidInputError
 from .families import closed_form_checks, fermat_asymptotics_report, sigma_family_rows
 from .limits import Limits, limits_from_env
-from .reeb import _mean_euler, connected_sum_chi
+from .reeb import _chi_m, _mean_euler, connected_sum_chi, total_rs_index
 from .serialize import fraction_obj, parse_int, tuple_obj
-from .topology import ExponentTuple, evaluate_criterion, subset_lattice
+from .topology import ExponentTuple, _chi_s1, evaluate_criterion, subset_lattice
 from .verify import run_reproduction_suite
 
 SCHEMA_VERSION = 2
@@ -131,23 +131,29 @@ def _stratum_json(t: ExponentTuple, s) -> dict:
 def _cmd_invariants(args) -> int:
     limits = _limits_from_args(args)
     t = _parse_tuple_tokens(args.entries)
-    lattice = subset_lattice(t, limits)  # chi_m, kappa and chi_S1 all read this one table
-    report = _mean_euler(t, lattice)
+    lattice = subset_lattice(t, limits)  # every quantity below reads this one table
     k = lattice[2][-1]
-    chi = report.strata[-1].chi_s1  # the top stratum is the whole tuple
+    chi = _chi_s1(t.length, k)
+    total = total_rs_index(t)
+    # the strata are built only where they are printed
+    if args.strata:
+        report = _mean_euler(t, lattice)
+        value, strata = report.value, report.strata
+    else:
+        value = _chi_m(t, lattice)
 
-    chi_m_str = str(report.value) if report.value is not None else "undefined (mu_RS = 0)"
+    chi_m_str = str(value) if value is not None else "undefined (mu_RS = 0)"
     human = [
         f"tuple:           {t}   (n = {t.n}, manifold dimension {t.dimension})",
         f"d (lcm):         {t.d}",
         f"kappa:           {k}",
         f"chi_S1:          {chi}",
-        f"total mu_RS:     {report.total_index}",
+        f"total mu_RS:     {total}",
         f"chi_m:           {chi_m_str}",
     ]
     if args.strata:
         human.append("strata (period, subtuple, dim, mu_RS, frequency, chi_S1):")
-        for s in report.strata:
+        for s in strata:
             human.append(
                 f"  T={s.period:<12} b={str(t.subtuple(s.indices)):<24} dim={2 * s.m_t - 3:<3} "
                 f"mu_RS={s.mu_rs:<8} phi={s.frequency:<8} chi_S1={s.chi_s1}"
@@ -159,12 +165,12 @@ def _cmd_invariants(args) -> int:
         "d": str(t.d),
         "kappa": str(k),
         "chi_s1": str(chi),
-        "total_mu_rs": str(report.total_index),
-        "chi_m_defined": report.value is not None,
-        "chi_m": _opt_fraction_json(report.value),
+        "total_mu_rs": str(total),
+        "chi_m_defined": value is not None,
+        "chi_m": _opt_fraction_json(value),
     }
     if args.strata:
-        result["strata"] = [_stratum_json(t, s) for s in report.strata]
+        result["strata"] = [_stratum_json(t, s) for s in strata]
     _emit(args, _envelope("invariants", {"tuple": tuple_obj(t), "strata": bool(args.strata)},
                           result, []), human)
     return EXIT_OK

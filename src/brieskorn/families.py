@@ -21,9 +21,8 @@ closed form of each report row against the general algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityError, InvalidInputError, PreconditionError
 from .exactarith import IntPolynomial
@@ -41,8 +40,7 @@ CHI_DENOMINATOR = IntPolynomial((-6, -34, -50, -8, 16))
 DERIVATIVE_COMBINATION_COEFFS = (0, 48, 208, 80, -648, -672)
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     parameter: int
     exponents: ExponentTuple
     kind: SphereKind
@@ -152,8 +150,7 @@ def fermat_tuple(ell: int, n: int, limits: Limits = DEFAULT_LIMITS) -> ExponentT
     return ExponentTuple(tuple([fermat_number(k, limits) for k in range(ell, ell + n + 1)]))
 
 
-@dataclass(frozen=True)
-class FermatRow:
+class FermatRow(NamedTuple):
     ell: int
     exponents: ExponentTuple
     chi_m: Fraction
@@ -165,8 +162,7 @@ class FermatRow:
     self_sum_sign_negative: bool
 
 
-@dataclass(frozen=True)
-class FermatAsymptoticsReport:
+class FermatAsymptoticsReport(NamedTuple):
     """Asymptotics of the Fermat family at fixed n.
 
     The signed invariant behaves like 1/(2x^3) with x = 2^(2^ell), so the

@@ -8,7 +8,7 @@ instead of hanging; the sphere search has the fixed `certify.SEARCH_BUDGET`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 
@@ -19,8 +19,7 @@ _ENV_VARS = {
 }
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """Caps applied by the enumeration-heavy operations.
 
     subset_cap: maximum tuple length L for operations that walk all 2^L
@@ -38,7 +37,7 @@ class Limits:
         for name, value in updates.items():
             if value < 0:
                 raise InvalidInputError(f"limit {name} must be nonnegative, got {value}")
-        return replace(self, **updates)
+        return self._replace(**updates)
 
 
 DEFAULT_LIMITS = Limits()

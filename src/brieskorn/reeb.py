@@ -39,7 +39,6 @@ equal to a plain tuple of its values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
@@ -80,8 +79,7 @@ class Stratum(NamedTuple):
     frequency: int
 
 
-@dataclass(frozen=True)
-class MeanEulerReport:
+class MeanEulerReport(NamedTuple):
     """The mean Euler characteristic of a tuple with its strata; `value` is
     None exactly when the total index is 0."""
 

@@ -38,11 +38,10 @@ cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, islice
 from operator import floordiv, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
@@ -52,27 +51,41 @@ from .errors import (
 from .limits import DEFAULT_LIMITS, Limits
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
-    """Ordered tuple of integer exponents, all >= 2, length >= 2."""
-
+class _ExponentTupleFields(NamedTuple):
     entries: tuple[int, ...]
 
-    def __post_init__(self):
+
+class ExponentTuple(_ExponentTupleFields):
+    """Ordered tuple of integer exponents, all >= 2, length >= 2.
+
+    A named tuple of one field, so it equals the plain tuple `(entries,)`.
+    The checks run in `__new__`, and `_make` (which `_replace` calls) goes
+    through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[int, ...]):
         # a list or range would make the tuple unequal to its tuple-built twin
-        # and unhashable; `make_tuple` takes any iterable
-        if not isinstance(self.entries, tuple):
+        # and unhashable; `make_tuple` takes any iterable. An ExponentTuple is
+        # a tuple too, of one field, and is refused as well.
+        if not isinstance(entries, tuple) or isinstance(entries, ExponentTuple):
             raise InvalidInputError(f"the entries of an exponent tuple must be a tuple, "
-                                    f"got {type(self.entries).__name__}")
-        if len(self.entries) < 2:
+                                    f"got {type(entries).__name__}")
+        if len(entries) < 2:
             raise InvalidInputError(
-                f"an exponent tuple needs at least 2 entries, got {len(self.entries)}"
+                f"an exponent tuple needs at least 2 entries, got {len(entries)}"
             )
-        for i, e in enumerate(self.entries):
+        for i, e in enumerate(entries):
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidInputError(f"entry at index {i} is not an integer: {e!r}")
             if e < 2:
                 raise InvalidInputError(f"entry at index {i} must be >= 2, got {e}")
+        return tuple.__new__(cls, (entries,))
+
+    @classmethod
+    def _make(cls, iterable) -> "ExponentTuple":
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
@@ -194,8 +207,7 @@ class SphereKind(Enum):
 SPHERE_KINDS = frozenset({SphereKind.SPHERE_BY_I, SphereKind.SPHERE_BY_II})
 
 
-@dataclass(frozen=True)
-class SphereVerdict:
+class SphereVerdict(NamedTuple):
     """The criterion's verdict on Gamma(a), with the parts of the graph it reads.
 
     Vertices are entry indices. `components` are ordered by their smallest

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .certify import certify_non_brieskorn_pairs, distinctness_classes, enumerate_sphere_tuples
 from .exactarith import dominance_check, dominance_margin
@@ -70,8 +69,7 @@ from .topology import (
 DEFAULT_SEED = 20250707
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     item: int
     name: str
     passed: bool
@@ -79,8 +77,7 @@ class CheckResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     checks: tuple[CheckResult, ...]
     total_seconds: float
 

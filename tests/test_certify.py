@@ -651,6 +651,32 @@ def test_certificate_refuses_what_the_file_cannot_hold(fields):
     assert NonBrieskornCertificate.dimension == 5
 
 
+def test_certificate_sides_must_be_exponent_tuples():
+    # a plain tuple is refused by name, under `python -O` too
+    script = (
+        "from fractions import Fraction\n"
+        "from brieskorn.certify import NonBrieskornCertificate\n"
+        "from brieskorn.errors import InvalidInputError\n"
+        "from brieskorn.topology import make_tuple\n"
+        "t = make_tuple([4, 5, 9, 19])\n"
+        "chi = (Fraction(1, 8), Fraction(1, 8), Fraction(-1, 4), False)\n"
+        "for sides in (((4, 5, 9, 19), t), (t, [4, 5, 9, 19])):\n"
+        "    try:\n"
+        "        NonBrieskornCertificate(*sides, *chi)\n"
+        "    except InvalidInputError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(brieskorn.__file__).resolve().parents[1])
+    expected = ["tuple_a must be an ExponentTuple, got tuple",
+                "tuple_b must be an ExponentTuple, got list"]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout.splitlines() == expected, flags
+
+
 # ------------------------------------------------ reader parity
 
 

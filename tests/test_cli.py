@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
+import brieskorn.reeb
 import brieskorn.topology
 from brieskorn.certify import (
     certify_non_brieskorn_pairs,
@@ -148,6 +149,17 @@ def test_invariants_builds_one_lattice(capsys, monkeypatch):
     code, _, _ = run(capsys, "invariants", "4", "5", "9", "19")
     assert code == 0
     assert built == [(4, 5, 9, 19)]
+
+
+@pytest.mark.parametrize("strata", [False, True])
+def test_invariants_builds_strata_only_to_print_them(capsys, monkeypatch, strata):
+    built = []
+    honest = brieskorn.reeb._build_strata
+    replace_everywhere(monkeypatch, honest,
+                       lambda a, lattice: built.append(a.entries) or honest(a, lattice))
+    code, _, _ = run(capsys, "invariants", "4", "5", "9", "19", *(["--strata"] if strata else []))
+    assert code == 0
+    assert built == ([(4, 5, 9, 19)] if strata else [])
 
 
 def test_invariants_undefined_prints_and_exits_zero(capsys):

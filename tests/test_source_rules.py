@@ -128,13 +128,78 @@ def test_unfrozen_dataclass_rule(source, lines):
     assert unfrozen_dataclasses(source) == lines
 
 
-def test_package_dataclasses_are_frozen():
-    # the package's records are values: a mutable one could be changed after
-    # the checks made when it was built
+def _is_named_tuple(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "NamedTuple") or (
+        isinstance(node, ast.Attribute) and node.attr == "NamedTuple"
+    )
+
+
+def _declares_empty_slots(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(stmt, ast.Assign)
+        and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+        and isinstance(stmt.value, ast.Tuple) and not stmt.value.elts
+        for stmt in cls.body
+    )
+
+
+def record_rule_faults(source: str) -> list[int]:
+    """Lines that import `dataclasses`, and lines of classes that subclass a
+    `NamedTuple` record of the same module, directly or through another
+    subclass, without declaring `__slots__ = ()`."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+            alias.name.partition(".")[0] == "dataclasses" for alias in node.names
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == (
+            "dataclasses"
+        ) and not node.level:
+            found.append(node.lineno)
+    records = set()
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        if any(_is_named_tuple(base) for base in cls.bases):
+            records.add(cls.name)
+        elif any(isinstance(base, ast.Name) and base.id in records for base in cls.bases):
+            records.add(cls.name)
+            if not _declares_empty_slots(cls):
+                found.append(cls.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int", []),
+        ("import typing\nclass A(typing.NamedTuple):\n    x: int\n"
+         "class B(A):\n    __slots__ = ()", []),
+        ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A: pass", [1]),
+        ("import os, dataclasses\n", [1]),
+        ("import math\nfrom dataclasses import replace as r", [2]),
+        ("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int\n"
+         "class B(A):\n    pass", [4]),
+        ("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int\n"
+         "class B(A):\n    __slots__ = ('y',)", [4]),
+        ("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int\n"
+         "class B(A):\n    __slots__ = ()\nclass C(B):\n    y = 1", [6]),
+        ("class A(tuple):\n    pass\nclass B(A):\n    pass", []),
+    ],
+)
+def test_record_rule(source, lines):
+    assert record_rule_faults(source) == lines
+
+
+def test_package_records_are_slotted_named_tuples():
+    # the package's records are values: a subclass without `__slots__ = ()`
+    # gets an instance dict, so it could be given attributes after the checks
+    # made when it was built; and `dataclasses` would import inspect, ast and
+    # dis into every process that imports the package
     found = [
         f"{path.name}:{line}"
         for path in SOURCES
-        for line in unfrozen_dataclasses(path.read_text(encoding="utf-8"))
+        for line in record_rule_faults(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 

@@ -153,9 +153,9 @@ def test_item_10_builds_a_tuple_only_per_solved_tuple_and_anchor(monkeypatch):
     # the 13 tuples of total index 0 over [2, 30], the sphere (4, 5, 9, 19)
     # and (2, 4, 6, 12), which is also a solved tuple
     made = []
-    honest = ExponentTuple.__post_init__
-    monkeypatch.setattr(ExponentTuple, "__post_init__",
-                        lambda self: made.append(self.entries) or honest(self))
+    honest = ExponentTuple.__new__
+    monkeypatch.setattr(ExponentTuple, "__new__",
+                        lambda cls, entries: made.append(entries) or honest(cls, entries))
     passed, detail = _item_10_isolated_exponent(DEFAULT_LIMITS, {})
     assert passed, detail
     solved = _isolated_census(30)[1]
@@ -326,13 +326,13 @@ def test_mean_euler_builds_no_tuple_per_stratum(monkeypatch):
     # a length-10 tuple of the strata workload's pool
     t = ExponentTuple((11, 10, 40, 52, 18, 40, 41, 42, 12, 26))
     made = []
-    honest = ExponentTuple.__post_init__
+    honest = ExponentTuple.__new__
 
-    def counted(self):
-        made.append(self.entries)
-        honest(self)
+    def counted(cls, entries):
+        made.append(entries)
+        return honest(cls, entries)
 
     # every tuple is validated on construction, a subtuple too
-    monkeypatch.setattr(ExponentTuple, "__post_init__", counted)
+    monkeypatch.setattr(ExponentTuple, "__new__", counted)
     assert len(mean_euler(t).strata) == 168
     assert made == []
