@@ -310,9 +310,10 @@ def _capped_length(a: ExponentTuple, limits: Limits) -> int:
     return a.length
 
 
-# tuples per chunk of `subset_lattices`: chunks of 64-256 build fastest, and
-# one chunk bounds what the generator holds
-_CHUNK = 128
+# table entries per chunk of `subset_lattices`, so that one chunk bounds
+# what the generator holds whatever the length: 128 tuples of length 4,
+# where chunks of 64-256 build fastest
+_CHUNK_SUBSETS = 2048
 
 
 def _lattice_chunk(
@@ -389,23 +390,30 @@ def subset_lattices(
 ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """The `subset_lattice` table of each of `tuples`, in order.
 
-    The tuples must all have one length. They are read and built a chunk of
-    `_CHUNK` at a time, each step of the kernel running over the whole
-    chunk, so nothing is held beyond one chunk's tables. The length is
-    capped before the first table is allocated; a tuple of another length,
-    or anything but an `ExponentTuple`, is refused when its chunk is read.
+    The tuples must all have one length L. They are read and built a chunk
+    at a time, each step of the kernel running over the whole chunk, so
+    nothing is held beyond one chunk's tables. A chunk is
+    max(1, _CHUNK_SUBSETS >> L) tuples, about 2^11 table entries in all:
+    128 tuples of length 4, one tuple from length 11 on. The first tuple is
+    read alone, to learn L and cap it before any table is allocated; a
+    tuple of another length, or anything but an `ExponentTuple`, is refused
+    when its chunk is read.
     """
     it = iter(tuples)
-    length = None
-    while chunk := list(islice(it, _CHUNK)):
-        if length is None:
-            length = _capped_length(chunk[0], limits)
+    chunk = list(islice(it, 1))
+    if not chunk:
+        return
+    length = _capped_length(chunk[0], limits)
+    size = max(1, _CHUNK_SUBSETS >> length)
+    chunk += islice(it, size - 1)
+    while chunk:
         for a in chunk:
             _require_exponent_tuple(a)
             if a.length != length:
                 raise InvalidInputError(f"subset_lattices takes tuples of one length, "
                                         f"got {a} after tuples of length {length}")
         yield from _lattice_chunk([a.entries for a in chunk])
+        chunk = list(islice(it, size))
 
 
 def kappa(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> int:

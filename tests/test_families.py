@@ -98,7 +98,7 @@ def test_family_rows_flag_multiples_of_three():
 def test_family_rows_read_their_tables_in_chunks(monkeypatch):
     # the 197 rows of verify-paper item 2 through `subset_lattices`: two
     # chunks, not one table per row
-    chunks, size = [], brieskorn.topology._CHUNK
+    chunks, size = [], brieskorn.topology._CHUNK_SUBSETS >> 4  # tuples per chunk at length 4
     honest = brieskorn.topology._lattice_chunk
     monkeypatch.setattr(brieskorn.topology, "_lattice_chunk",
                         lambda rows: chunks.append(list(rows)) or honest(rows))

@@ -87,47 +87,6 @@ def test_package_caches_are_bounded():
     assert found == []
 
 
-def _is_dataclass_name(node) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "dataclass") or (
-        isinstance(node, ast.Attribute) and node.attr == "dataclass"
-    )
-
-
-def unfrozen_dataclasses(source: str) -> list[int]:
-    """Lines of `dataclass` decorators that do not pass the literal
-    `frozen=True`, bare or called."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for deco in node.decorator_list:
-            call = deco if isinstance(deco, ast.Call) else None
-            if not _is_dataclass_name(call.func if call else deco):
-                continue
-            frozen = [k.value for k in call.keywords if k.arg == "frozen"] if call else []
-            if not (len(frozen) == 1 and isinstance(frozen[0], ast.Constant)
-                    and frozen[0].value is True):
-                found.append(deco.lineno)
-    return found
-
-
-@pytest.mark.parametrize(
-    "source, lines",
-    [
-        ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A: pass", []),
-        ("import dataclasses\n@dataclasses.dataclass(frozen=True, eq=True)\nclass A: pass", []),
-        ("from typing import NamedTuple\nclass A(NamedTuple):\n    x: int", []),
-        ("from dataclasses import dataclass\n@dataclass\nclass A: pass", [2]),
-        ("from dataclasses import dataclass\n@dataclass()\nclass A: pass", [2]),
-        ("from dataclasses import dataclass\n@dataclass(frozen=False)\nclass A: pass", [2]),
-        ("import dataclasses\n@dataclasses.dataclass(order=True)\nclass A: pass", [2]),
-        ("from dataclasses import dataclass\nF = True\n@dataclass(frozen=F)\nclass A: pass", [3]),
-    ],
-)
-def test_unfrozen_dataclass_rule(source, lines):
-    assert unfrozen_dataclasses(source) == lines
-
-
 def _is_named_tuple(node) -> bool:
     return (isinstance(node, ast.Name) and node.id == "NamedTuple") or (
         isinstance(node, ast.Attribute) and node.attr == "NamedTuple"

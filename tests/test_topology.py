@@ -323,7 +323,7 @@ def test_lattice_takes_one_lcm_per_nonempty_subset(monkeypatch, length):
 
 # ------------------------------------------------ lattices in chunks
 
-CHUNK = topology._CHUNK
+CHUNK = topology._CHUNK_SUBSETS >> 4  # tuples per chunk at length 4
 
 
 def drawn_tuples(count: int, length: int, seed: int = 0) -> list[ExponentTuple]:
@@ -392,6 +392,35 @@ def test_lattices_build_one_chunk_at_a_time(monkeypatch):
     assert len(lcm_calls) == CHUNK * (2**4 - 1)  # one lcm per nonempty subset
     assert sum(1 for _ in tables) == 3 * CHUNK
     assert first == loop_subset_lattice(ts[0], DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 10, 11, 12])
+def test_lattice_chunks_hold_2048_subsets_or_one_tuple(monkeypatch, length):
+    # max(1, 2048 >> L) tuples a chunk, the first one full too, though its
+    # first tuple is read alone to learn the length
+    size, sizes = max(1, 2048 >> length), []
+    honest = topology._lattice_chunk
+    monkeypatch.setattr(topology, "_lattice_chunk",
+                        lambda rows: sizes.append(len(rows)) or honest(rows))
+    ts = drawn_tuples(2 * size + 1, length, seed=length)
+    assert sum(1 for _ in subset_lattices(ts, DEFAULT_LIMITS)) == len(ts)
+    assert sizes == [size, size, 1]
+
+
+def test_lattices_hold_a_few_tables_of_long_tuples():
+    # at length 10 a chunk is two tuples, not 128: consuming the tables of
+    # 130 tuples peaks within a few times the peak of building one table
+    ts = drawn_tuples(130, 10, seed=10)
+    tracemalloc.start()
+    try:
+        subset_lattice(ts[0], DEFAULT_LIMITS)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert sum(1 for _ in subset_lattices(ts, DEFAULT_LIMITS)) == 130
+        many = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert many < 4 * one
 
 
 # ------------------------------------------------------------ kappa

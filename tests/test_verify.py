@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from brieskorn.verify import (
 from oracles import naive_frequencies, per_tuple_isolated_census, subset_periods
 from verify_faults import FAULTS, replace_everywhere, run_case
 
-CHUNK = brieskorn.topology._CHUNK
+CHUNK = brieskorn.topology._CHUNK_SUBSETS >> 4  # tuples per chunk at length 4
 
 # item 8's two oracles besides the subset lattice behind `reeb.frequencies`
 ORACLES = pytest.mark.parametrize(
@@ -63,6 +64,38 @@ def test_frequency_oracle_matches_naive_oracle(oracle):
         assert oracle(periods) == naive_frequencies(periods), t
         checked += 1
     assert checked >= 100
+
+
+# entry tuples whose period sets meet, for each window below, a d that is a
+# multiple of the window, one more and one less, a period above the window
+# and a period dividing a window start
+WINDOW_CASES = [(5, 5, 7, 11), (2, 2, 3, 3), (3, 9, 11), (3, 7, 9), (2, 3, 64)]
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 7, 64])
+def test_direct_count_across_window_ends(monkeypatch, window):
+    monkeypatch.setattr(brieskorn.verify, "_WINDOW", window)
+    sets = [subset_periods(entries) for entries in WINDOW_CASES]
+    for periods in sets:
+        assert _direct_frequencies(periods) == _recurrence_frequencies(periods), periods
+    assert {0, 1 % window, -1 % window} <= {p[-1] % window for p in sets}
+    assert any(t > window for p in sets for t in p[:-1])
+    assert any(lo % t == 0 for p in sets for t in p[:-1] for lo in range(window, p[-1], window))
+
+
+def test_direct_count_holds_one_window_whatever_d():
+    # d = 970,200, the largest of item 8, and period 2: a table of d bytes
+    # would trace ~1 MB, one window and two slices of half of it ~2 windows
+    periods = subset_periods((2, 2, 8, 9, 25, 49, 11))
+    tracemalloc.start()
+    try:
+        got = _direct_frequencies(periods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (periods[0], periods[-1]) == (2, 970_200)
+    assert got == _recurrence_frequencies(periods)
+    assert peak < 3 * brieskorn.verify._WINDOW
 
 
 @pytest.mark.parametrize(
@@ -258,7 +291,8 @@ def test_item_6_builds_its_lattices_in_chunks_of_one_length(monkeypatch):
     by_length = sorted(sample, key=len)
     assert [entries for rows in chunks for entries in rows] == by_length
     assert all(len({len(entries) for entries in rows}) == 1 for rows in chunks)
-    assert all(0 < len(rows) <= CHUNK for rows in chunks)
+    assert all(0 < len(rows) <= brieskorn.topology._CHUNK_SUBSETS >> len(rows[0])
+               for rows in chunks)
     assert singles == []
 
 
