@@ -12,28 +12,28 @@ Per stratum the relevant data are its Robbin-Salamon index
     mu_RS(Sigma_T) = sum_j (floor(T/a_j) + ceil(T/a_j)) - 2T,
 
 its equivariant Euler characteristic, and its frequency: the number of
-multiples of T below the top period d that are not multiples of any larger
-period. Periods, frequencies and every kappa are read from one
-`topology.subset_lattice` table; the strata are its closed subsets of two or
-more entries and the whole tuple. The mean Euler characteristic is the sum of
-frequency * chi_S1 over those subsets, with the global sign (-1)^(n+1),
-divided by the absolute total index 2d(sum_j 1/a_j - 1); it is an invariant
-of the contact structure and is defined whenever that total index is
-nonzero. `chi_m` reads that sum straight off the table and builds no
-stratum. `mean_euler` builds the strata, each field one column read off the
-table at the closed subsets, and takes the sum off their frequency and
-`chi_S1` columns, so each `chi_S1` is computed once; the tests compare the
-two values. The positions of a stratum are those of its subset, and only
-its Robbin-Salamon index is found by division, of its period by every
-entry in one stream of quotients; it never reads the subset, so the parity
-check of `verify-paper` item 6 on it keeps its meaning. The second route to
-the sum, over the strata with the per-stratum signs, is an oracle of
-`verify-paper` item 6 and the tests, not of this module. `_chi_m`,
-`_mean_euler`, `_build_strata` and `_frequencies` take a table already
-built, so a caller with many tuples of one length builds their tables a
-chunk at a time (`topology.subset_lattices`) and reads each through them.
-A `Stratum` is a named tuple, so it unpacks in field order and compares
-equal to a plain tuple of its values.
+multiples of T up to and including the top period d that no larger period
+divides, so d itself has frequency 1. Periods, frequencies and every kappa
+are read from one `topology.subset_lattice` table; the strata are its closed
+subsets of two or more entries, the whole tuple among them. The mean Euler
+characteristic is the sum of frequency * chi_S1 over those subsets, with the
+global sign (-1)^(n+1), divided by the absolute total index
+2d(sum_j 1/a_j - 1); it is an invariant of the contact structure and is
+defined whenever that total index is nonzero. `chi_m` reads that sum
+straight off the table and builds no stratum. `mean_euler` builds the
+strata, each field one column read off the table at the closed subsets, and
+takes the sum off their frequency and `chi_S1` columns, so each `chi_S1` is
+computed once; the tests compare the two values. The positions of a stratum
+are those of its subset, and only its Robbin-Salamon index is found by
+division, of its period by every entry in one stream of quotients; it never
+reads the subset, so the parity check of `verify-paper` item 6 on it keeps
+its meaning. The second route to the sum, over the strata with the
+per-stratum signs, is an oracle of `verify-paper` item 6 and the tests, not
+of this module. `_chi_m`, `_mean_euler`, `_build_strata` and `_frequencies`
+take a table already built, so a caller with many tuples of one length
+builds their tables a chunk at a time (`topology.subset_lattices`) and reads
+each through them. A `Stratum` is a named tuple, so it unpacks in field
+order and compares equal to a plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -90,19 +90,17 @@ class MeanEulerReport(NamedTuple):
 
 def _closed_subsets(lcm: list[int], freq: list[int]) -> list[int]:
     # the strata's subsets of a `subset_lattice` table, by period: the closed
-    # subsets of two or more positions, whose frequencies are nonzero, then
-    # the whole tuple. The empty subset and the singletons are zeroed in a
-    # copy of the frequencies, so `compress` keeps the rest with no test per
-    # subset. Distinct closed subsets have distinct lcms, so the periods
-    # strictly increase.
-    top = len(lcm) - 1
-    closed = freq[:top]
+    # subsets of two or more positions, whose frequencies are nonzero. The
+    # empty subset and the singletons are zeroed in a copy of the
+    # frequencies, so `compress` keeps the rest with no test per subset.
+    # Distinct closed subsets have distinct lcms, so the periods strictly
+    # increase, and the whole tuple, of lcm d, comes last.
+    closed = freq[:]
     closed[0] = 0
-    for j in range(top.bit_length()):
+    for j in range((len(lcm) - 1).bit_length()):
         closed[1 << j] = 0
-    subsets = list(compress(range(top), closed))
+    subsets = list(compress(range(len(lcm)), closed))
     subsets.sort(key=lcm.__getitem__)
-    subsets.append(top)
     return subsets
 
 
@@ -112,13 +110,13 @@ def _build_strata(a: ExponentTuple,
     `subset_lattice` table, and the sum of frequency * chi_S1 over them.
 
     Each stratum is a closed subset J of the table, and its period,
-    frequency (1 at the top) and kappa are the table's entries at J. A
-    closed subset holds exactly the positions of the entries dividing its
-    period, so `indices` is J's positions, read from one table of the
-    positions of every subset built by doubling, and `m_t` is J's bit
-    count. Only the Robbin-Salamon index is found by division, in one
-    stream of quotients over the periods and entries. The sum is taken
-    off the `chi_S1` column the strata hold, so each is computed once.
+    frequency and kappa are the table's entries at J. A closed subset holds
+    exactly the positions of the entries dividing its period, so `indices`
+    is J's positions, read from one table of the positions of every subset
+    built by doubling, and `m_t` is J's bit count. Only the Robbin-Salamon
+    index is found by division, in one stream of quotients over the periods
+    and entries. The sum is taken off the `chi_S1` column the strata hold, so
+    each is computed once.
     """
     lcm, freq, kap = lattice
     entries = a.entries
@@ -129,7 +127,6 @@ def _build_strata(a: ExponentTuple,
         positions += [p + (j,) for p in positions]
     periods = list(map(lcm.__getitem__, subsets))
     frequency = list(map(freq.__getitem__, subsets))
-    frequency[-1] = 1
     m = list(map(int.bit_count, subsets))
     # floor(T/e) + ceil(T/e) = T//e + (T-1)//e + 1, the quotients streamed
     # and summed L at a time, one period each. An entry dividing T adds the
@@ -147,16 +144,14 @@ def _build_strata(a: ExponentTuple,
 def _frequencies(lattice: tuple[list[int], ...]) -> list[int]:
     """`frequencies(a)` from the `subset_lattice` table of `a`."""
     lcm, freq, _ = lattice
-    frequency = list(map(freq.__getitem__, _closed_subsets(lcm, freq)))
-    frequency[-1] = 1
-    return frequency
+    return list(map(freq.__getitem__, _closed_subsets(lcm, freq)))
 
 
 def frequencies(a: ExponentTuple, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     """Frequency of each Reeb period of `a`, by period: the multiples of it
-    below the top period d that no larger period divides. The periods are the
-    lcms of two or more entries; the top period d itself has frequency 1 by
-    convention."""
+    up to and including the top period d that no larger period divides. The
+    periods are the lcms of two or more entries; the top period d is its
+    own only such multiple, so its frequency is 1."""
     return _frequencies(subset_lattice(a, limits))
 
 
@@ -167,13 +162,12 @@ def total_rs_index(a: ExponentTuple) -> int:
 
 
 def _chi_numerator(lattice: tuple[list[int], ...]) -> int:
-    # sum of frequency * chi_S1 over the strata: the top entry with frequency
-    # 1, and every subset of two or more positions with a nonzero frequency;
-    # read by `_chi_m`, which builds no strata, and by verify-paper item 6
+    # sum of frequency * chi_S1 over the strata: every subset of two or more
+    # positions with a nonzero frequency, the whole tuple among them; read by
+    # `_chi_m`, which builds no strata, and by verify-paper item 6
     _, freq, kap = lattice
-    top = len(kap) - 1
-    total = _chi_s1(top.bit_count(), kap[top])
-    for J in compress(range(top), freq):
+    total = 0
+    for J in compress(range(len(freq)), freq):
         if J & (J - 1):
             total += freq[J] * _chi_s1(J.bit_count(), kap[J])
     return total

@@ -329,7 +329,6 @@ def _lattice_chunk(
     which checks that each lcm divides its product and that the quotient
     of a singleton is 1 and of a pair its gcd.
 
-    The counts d // lcm[J] - 1 are (d - 1) // lcm[J], as lcm[J] divides d.
     Reversing a table maps each subset to its complement, so the subset
     transform of kappa is the superset transform of kappa reversed, and
     freq and the reversed kappa take the same steps as one list of 2K
@@ -349,7 +348,7 @@ def _lattice_chunk(
         prod += [*map(mul, prod, col)]
         n += n
     kap = [*map(floordiv, prod, lcm)]
-    x = [*map(floordiv, [d - 1 for d in lcm[-K:]] * n, lcm), *reversed(kap)]
+    x = [*map(floordiv, lcm[-K:] * n, lcm), *reversed(kap)]
     if K > 1:  # for one tuple the list is already laid out table by table
         x = [*chain.from_iterable([x[t::K] for t in range(K)])]
     for _ in range(L):  # superset transform
@@ -363,10 +362,11 @@ def _lattice_chunk(
 def subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], list[int], list[int]]:
     """lcm[J], freq[J] and kappa[J] for every subset J of entry positions.
 
-    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
-    have J(x) containing J, the superset Moebius transform of these counts
-    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
-    dividing lcm(J) is in J), as J(x) is. kappa is the subset Moebius
+    For 0 < x <= d let J(x) = {j : a_j | x}. Since d // lcm[J] of them have
+    J(x) containing J, the superset Moebius transform of these counts is
+    freq[J] = #{x : J(x) = J}, and the entries sum to d. It vanishes unless J
+    is closed (every a_j dividing lcm(J) is in J), as J(x) is; x = d alone
+    has every position, so the top entry is 1. kappa is the subset Moebius
     transform of the quotients prod // lcm. Each table has 2^L entries, so
     the length is capped before any is allocated.
 

@@ -183,10 +183,11 @@ def loop_subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], li
     lowest position, and Moebius transforms that visit every subset once per
     position. `topology.subset_lattice` must return exactly these tables.
 
-    For 0 < x < d let J(x) = {j : a_j | x}. Since d // lcm[J] - 1 of them
-    have J(x) containing J, the superset Moebius transform of these counts
-    is freq[J] = #{x : J(x) = J}. It vanishes unless J is closed (every a_j
-    dividing lcm(J) is in J), as J(x) is. kappa is the subset Moebius
+    For 0 < x <= d let J(x) = {j : a_j | x}. Since d // lcm[J] of them have
+    J(x) containing J, the superset Moebius transform of these counts is
+    freq[J] = #{x : J(x) = J}, and the entries sum to d. It vanishes unless J
+    is closed (every a_j dividing lcm(J) is in J), as J(x) is; x = d alone
+    has every position, so the top entry is 1. kappa is the subset Moebius
     transform of the quotients prod // lcm. Each table has 2^L entries, so
     the length is capped before any is allocated.
     """
@@ -209,7 +210,7 @@ def loop_subset_lattice(a: ExponentTuple, limits: Limits) -> tuple[list[int], li
         if kap[1 << j | 1 << k] != (1 if j == k else math.gcd(entries[j], entries[k])):
             raise BrieskornError(f"product/lcm quotient check fails at {j}, {k} of {a}")
     d = lcm[-1]
-    freq = [d // m - 1 for m in lcm]
+    freq = [d // m for m in lcm]
     for i in range(L):
         bit = 1 << i
         for base in range(0, size, 2 * bit):

@@ -249,7 +249,11 @@ def test_lattice_matches_the_loop_kernel(entries):
 def test_lattice_matches_the_loop_kernel_on_drawn_tuples(entries):
     # entries up to 60 repeat and share factors, so most subsets are not closed
     t = ExponentTuple(tuple(entries))
-    assert subset_lattice(t, DEFAULT_LIMITS) == loop_subset_lattice(t, DEFAULT_LIMITS)
+    lattice = subset_lattice(t, DEFAULT_LIMITS)
+    assert lattice == loop_subset_lattice(t, DEFAULT_LIMITS)
+    # every x in (0, d] lies in exactly one J(x), and x = d alone in the top
+    freq = lattice[1]
+    assert sum(freq) == t.d and freq[-1] == 1
 
 
 def _planted_lcm(monkeypatch, wrong, module=topology):
@@ -343,8 +347,9 @@ def test_lattices_match_the_loop_kernel_across_chunk_ends(count):
 @pytest.mark.parametrize("length", range(2, 11))
 def test_lattices_match_the_loop_kernel_at_each_length(length):
     ts = drawn_tuples(5, length, seed=length)
-    assert list(subset_lattices(iter(ts), DEFAULT_LIMITS)) == [
-        loop_subset_lattice(t, DEFAULT_LIMITS) for t in ts]
+    lattices = list(subset_lattices(iter(ts), DEFAULT_LIMITS))
+    assert lattices == [loop_subset_lattice(t, DEFAULT_LIMITS) for t in ts]
+    assert [(sum(freq), freq[-1]) for _, freq, _ in lattices] == [(t.d, 1) for t in ts]
 
 
 @pytest.mark.parametrize(

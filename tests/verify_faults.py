@@ -88,6 +88,16 @@ def _frequency_off_by_one(honest):
     return chunk
 
 
+def _top_frequency_off_by_one(honest):
+    # in every table, the whole tuple gets one more multiple than d itself
+    def chunk(rows):
+        tables = honest(rows)
+        for _, freq, _ in tables:
+            freq[-1] += 1
+        return tables
+    return chunk
+
+
 def _oracle_off_by_one(honest):
     # an item 8 oracle that moves the first frequency of the periods of the
     # sphere (4, 5, 9, 19), whose top period is 3420, by one
@@ -129,6 +139,9 @@ FAULTS = [
     ("sphere-chi-m-sign", 7, (), "brieskorn.reeb._chi_m", _negated_at_reference),
     ("lattice-frequency", 8, (6, 7), "brieskorn.topology._lattice_chunk",
      _frequency_off_by_one),
+    # the top stratum's frequency, read off the table like any other
+    ("lattice-top-frequency", 8, (6, 7), "brieskorn.topology._lattice_chunk",
+     _top_frequency_off_by_one),
     ("recurrence-frequency", 8, (6, 7), "brieskorn.verify._recurrence_frequencies",
      _oracle_off_by_one),
     ("direct-count-frequency", 8, (6, 7), "brieskorn.verify._direct_frequencies",

@@ -156,6 +156,21 @@ def run_pairs(runners: dict, workload: str, seeds: list[int],
     return runs
 
 
+def command_text(argv: list[str]) -> str:
+    """The command line kept in the record, with its `--out` file named by
+    its base name, so a record names no directory of the machine that ran
+    it."""
+    words, after_out = [], False
+    for word in argv:
+        if after_out:
+            word = Path(word).name
+        elif word.startswith("--out="):
+            word = "--out=" + Path(word[len("--out="):]).name
+        after_out = word == "--out"
+        words.append(word)
+    return " ".join(["python3", "tools/bench_pairs.py", *words])
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -191,7 +206,7 @@ def main() -> int:
 
     comparison = compare(runs[args.workload]["parent"], runs[args.workload]["change"], metrics)
     record = {
-        "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
+        "command": command_text(sys.argv[1:]),
         "note": args.note,
         "workload": args.workload,
         "seeds": seeds,

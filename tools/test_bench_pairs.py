@@ -117,6 +117,17 @@ def test_a_worse_metric_on_any_compared_workload_is_named():
     assert bp.worse(slower) == ["strata wall_s"]
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["--parent", "p", "--out", "/some/dir/BENCH_strata.json", "--note", "x"],
+     "--parent p --out BENCH_strata.json --note x"),
+    (["--out=../elsewhere/BENCH_search.json", "--parent", "p"],
+     "--out=BENCH_search.json --parent p"),
+    (["--parent", "p", "--note", "/kept/as/given"], "--parent p --note /kept/as/given"),
+], ids=["spaced", "joined", "no-out"])
+def test_command_names_the_out_file_by_its_base_name(argv, command):
+    assert bp.command_text(argv) == "python3 tools/bench_pairs.py " + command
+
+
 def test_main_writes_its_record_then_exits_1_on_a_worse_metric(tmp_path, monkeypatch):
     # main() on canned runs: no commit is exported, and each side's runner
     # reads a fixed wall per workload; search runs 30% slower on the change
@@ -140,5 +151,6 @@ def test_main_writes_its_record_then_exits_1_on_a_worse_metric(tmp_path, monkeyp
     assert bp.main() == 1
     record = json.loads(out.read_text(encoding="utf-8"))
     assert bp.worse(record) == ["search wall_s"]
+    assert record["command"].endswith("--out record.json")
     walls["change"]["search"] = 0.50
     assert bp.main() == 0
