@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every command prints a human-readable summary by default and a single JSON
-envelope on stdout with `--json`; diagnostics go to stderr. Exit codes:
-0 success, 1 internal or capacity failure, 2 invalid input.
+Each `_cmd_*(args, limits)` only computes the envelope's `input` and `result`
+and the human-readable lines. `main` resolves the caps once, before any input
+is read, and writes the lines or, with `--json`, one envelope in chunks on
+stdout; diagnostics go to stderr. Exit codes: 0 success, 1 internal or
+capacity failure or a failed `verify-paper` item, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .certify import (
     certificate_lines,
@@ -32,6 +35,7 @@ SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
+_JSON_CHUNK = 4096  # encoder pieces per write of the envelope
 
 
 def _parse_tuple_tokens(tokens: list[str]) -> ExponentTuple:
@@ -50,35 +54,10 @@ def _opt_fraction_json(q: Fraction | None):
     return None if q is None else fraction_obj(q)
 
 
-def _envelope(command: str, input_obj: dict, result: dict, warnings: list[str]) -> dict:
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": command,
-        "input": input_obj,
-        "result": result,
-        "warnings": warnings,
-    }
-
-
-def _emit(args, envelope: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(envelope, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _limits_from_args(args) -> Limits:
-    return limits_from_env().with_overrides(
-        subset_cap=args.cap_subsets, fermat_cap=args.cap_fermat
-    )
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_criterion(args) -> int:
-    _limits_from_args(args)  # no limit applies here; invalid ones are refused as elsewhere
+def _cmd_criterion(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     t = _parse_tuple_tokens(args.entries)
     verdict = evaluate_criterion(t)
 
@@ -110,8 +89,7 @@ def _cmd_criterion(args) -> int:
             "pairwise_gcd2": verdict.even_component_pairwise_gcd2,
         },
     }
-    _emit(args, _envelope("criterion", {"tuple": tuple_obj(t)}, result, []), human)
-    return EXIT_OK
+    return {"tuple": tuple_obj(t)}, result, human
 
 
 def _stratum_json(t: ExponentTuple, s) -> dict:
@@ -128,8 +106,7 @@ def _stratum_json(t: ExponentTuple, s) -> dict:
     }
 
 
-def _cmd_invariants(args) -> int:
-    limits = _limits_from_args(args)
+def _cmd_invariants(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     t = _parse_tuple_tokens(args.entries)
     lattice = subset_lattice(t, limits)  # every quantity below reads this one table
     k = lattice[2][-1]
@@ -171,13 +148,10 @@ def _cmd_invariants(args) -> int:
     }
     if args.strata:
         result["strata"] = [_stratum_json(t, s) for s in strata]
-    _emit(args, _envelope("invariants", {"tuple": tuple_obj(t), "strata": bool(args.strata)},
-                          result, []), human)
-    return EXIT_OK
+    return {"tuple": tuple_obj(t), "strata": bool(args.strata)}, result, human
 
 
-def _cmd_sum(args) -> int:
-    limits = _limits_from_args(args)
+def _cmd_sum(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     groups: list[list[str]] = [[]]
     for token in args.entries:
         if token == "+":
@@ -212,8 +186,7 @@ def _cmd_sum(args) -> int:
         "certified_non_brieskorn": certified,
         "boundary": total == 0,
     }
-    _emit(args, _envelope("sum", {"tuples": [tuple_obj(t) for t in tuples]}, result, []), human)
-    return EXIT_OK
+    return {"tuples": [tuple_obj(t) for t in tuples]}, result, human
 
 
 def _family_row_json(row) -> dict:
@@ -228,8 +201,7 @@ def _family_row_json(row) -> dict:
     }
 
 
-def _cmd_family(args) -> int:
-    limits = _limits_from_args(args)
+def _cmd_family(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     if args.kind == "sigma-m":
         if args.m_from is None or args.m_to is None:
             raise InvalidInputError("family sigma-m needs --from and --to")
@@ -298,12 +270,10 @@ def _cmd_family(args) -> int:
             "n": str(args.n),
             "scan": str(scan),
         }
-    _emit(args, _envelope("family", input_obj, result, []), human)
-    return EXIT_OK
+    return input_obj, result, human
 
 
-def _cmd_search(args) -> int:
-    limits = _limits_from_args(args)
+def _cmd_search(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     spheres = enumerate_sphere_tuples(args.max_exponent)
     certs = certify_non_brieskorn_pairs(spheres, limits)
     boundary = sum(1 for c in certs if c.boundary)
@@ -324,18 +294,16 @@ def _cmd_search(args) -> int:
         "boundary": boundary,
         "out": args.out,
     }
-    # with a file the envelope names it by digest; without one it lists the certificates
+    # with a file the envelope names it by digest; without one it lists the
+    # certificates, which the text does not print
     if args.out:
         result["sha256"] = write_certificates(certs, args.out)
-    else:
+    elif args.json:
         result["certificate_list"] = [json.loads(line) for line in certificate_lines(certs)]
-    _emit(args, _envelope("search", {"max_exponent": str(args.max_exponent),
-                                     "out": args.out}, result, []), human)
-    return EXIT_OK
+    return {"max_exponent": str(args.max_exponent), "out": args.out}, result, human
 
 
-def _cmd_verify_paper(args) -> int:
-    limits = _limits_from_args(args)
+def _cmd_verify_paper(args, limits: Limits) -> tuple[dict, dict, list[str]]:
     suite = run_reproduction_suite(limits)
     human = []
     for c in suite.checks:
@@ -358,8 +326,7 @@ def _cmd_verify_paper(args) -> int:
         ],
         "all_passed": suite.all_passed,
     }
-    _emit(args, _envelope("verify-paper", {}, result, []), human)
-    return EXIT_OK if suite.all_passed else EXIT_INTERNAL
+    return {}, result, human
 
 
 # ---------------------------------------------------------------- parser
@@ -421,10 +388,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        limits = limits_from_env().with_overrides(
+            subset_cap=args.cap_subsets, fermat_cap=args.cap_fermat
+        )
+        input_obj, result, human = args.fn(args, limits)
+        if args.json:
+            # the bytes of print(json.dumps(envelope, indent=2)), never one string
+            pieces = json.JSONEncoder(indent=2).iterencode({
+                "schemaVersion": SCHEMA_VERSION, "command": args.command,
+                "input": input_obj, "result": result, "warnings": [],
+            })
+            while chunk := "".join(islice(pieces, _JSON_CHUNK)):
+                sys.stdout.write(chunk)
+            sys.stdout.write("\n")
+        else:
+            for line in human:
+                print(line)
+        # only verify-paper's result says whether everything passed
+        return EXIT_OK if result.get("all_passed", True) else EXIT_INTERNAL
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

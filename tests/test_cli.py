@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
+import brieskorn.cli
 import brieskorn.reeb
 import brieskorn.topology
 from brieskorn.certify import (
@@ -19,6 +21,7 @@ from brieskorn.certify import (
 )
 from brieskorn.cli import main
 from brieskorn.errors import BrieskornError
+from brieskorn.limits import DEFAULT_LIMITS
 from brieskorn.topology import ExponentTuple
 from brieskorn.verify import CheckResult, SuiteResult
 from envelope_schema import ENVELOPE_SCHEMA, ENVELOPE_SHA256, FRACTION_SCHEMA
@@ -112,17 +115,30 @@ def test_criterion_too_short_exits_2(capsys):
     assert err
 
 
+VALID_ARGV = [
+    ["criterion", "4", "5", "9", "19"],
+    ["invariants", "4,5,9,19"],
+    ["sum", "4,5,9,19", "+", "4,5,9,19"],
+    ["family", "sigma-m", "--from", "4", "--to", "5"],
+    ["search", "--max-exponent", "5"],
+    ["verify-paper"],
+]
+
+
 @pytest.mark.parametrize("flag, env, message", [
     (["--cap-subsets", "-1"], None, "limit subset_cap must be nonnegative"),
     ([], "abc", "BK_CAP_SUBSETS must be an integer"),
-], ids=["flag", "env"])
+    (["--cap-fermat", "-1"], None, "limit fermat_cap must be nonnegative"),
+], ids=["flag", "env", "fermat"])
 def test_criterion_invalid_limit_exits_2(capsys, monkeypatch, flag, env, message):
-    # the criterion applies no limit, but refuses an invalid one as every command does
+    # main resolves the caps before any command runs, so every command refuses
+    # an invalid one, the criterion too, which applies none
     if env is not None:
         monkeypatch.setenv("BK_CAP_SUBSETS", env)
-    code, out, err = run(capsys, "criterion", "4", "5", "9", "19", *flag)
-    assert (code, out) == (2, "")
-    assert message in err
+    for argv in VALID_ARGV:
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 # ----------------------------------------------------------- invariants
@@ -187,6 +203,40 @@ def test_invariants_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "invariants", "2,3,5,7")
     assert code == 1
     assert "cap" in err
+
+
+def test_invariants_over_the_default_cap_exits_1(capsys, monkeypatch):
+    # the default admits only tuples whose tables fit in memory; one entry more
+    # is refused before any table is built
+    monkeypatch.delenv("BK_CAP_SUBSETS", raising=False)
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    entries = ",".join(map(str, primes[:DEFAULT_LIMITS.subset_cap + 1]))
+    code, out, err = run(capsys, "invariants", entries, "--strata", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("capacity error: ")
+
+
+class Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def test_the_envelope_is_written_in_pieces(monkeypatch):
+    # 1,013 strata: the document reaches stdout in several writes, which join
+    # to the bytes of print(json.dumps(envelope, indent=2))
+    writes = Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    code = main(["invariants", "2,3,5,7,11,13,17,19,23,29", "--strata", "--json"])
+    monkeypatch.undo()
+    assert code == 0
+    text = "".join(writes)
+    envelope = json.loads(text)
+    assert len(envelope["result"]["strata"]) == 1013
+    assert max(map(len, writes)) < len(text) - 1  # no write holds the whole document
+    assert text == json.dumps(envelope, indent=2) + "\n"
 
 
 # ------------------------------------------------------------------ sum
@@ -411,6 +461,18 @@ def test_search_envelope_with_a_file_stays_small(tmp_path, capsys):
     keys = {a: list(json.loads(out)["result"]) for a, out in outs.items()}
     assert keys["8"] == keys["12"]
     assert keys["12"][-2:] == ["out", "sha256"]
+
+
+@pytest.mark.parametrize("json_flag, calls", [([], 0), (["--json"], 1)], ids=["text", "json"])
+def test_search_lists_the_certificates_only_in_the_envelope(capsys, monkeypatch, json_flag, calls):
+    # the text prints only the counts, so it parses no certificate line back
+    made = []
+    honest = brieskorn.cli.certificate_lines
+    monkeypatch.setattr(brieskorn.cli, "certificate_lines",
+                        lambda certs: made.append(1) or honest(certs))
+    code, _, _ = run(capsys, "search", "--max-exponent", "8", *json_flag)
+    assert code == 0
+    assert len(made) == calls
 
 
 def test_search_no_spheres_no_certificates(capsys):
