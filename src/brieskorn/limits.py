@@ -23,12 +23,14 @@ class Limits(NamedTuple):
     """Caps applied by the enumeration-heavy operations.
 
     subset_cap: maximum tuple length L for operations that walk all 2^L
-        subsets (homology rank, period lattice).
+        subsets (homology rank, period lattice). Memory doubles with each
+        entry: `invariants --strata --json` on 19 entries peaks near 1 GB,
+        on 20 entries above 2 GB, so 20 is refused by default.
     fermat_cap: largest Fermat index ever materialized (sizes grow doubly
         exponentially).
     """
 
-    subset_cap: int = 24
+    subset_cap: int = 19
     fermat_cap: int = 12
 
     def with_overrides(self, **kwargs) -> "Limits":
