@@ -31,12 +31,14 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .reeb import connected_sum_chi, mean_euler
-from .topology import SPHERE_KINDS, ExponentTuple, _verdict, gcd_masks, sphere_kind
+from .topology import SPHERE_KINDS, ExponentTuple, gcd_masks, sphere_kind
 
 CONCLUSION = "connected sum not contactomorphic to any Brieskorn contact structure"
 
 # the most candidate tuples a sphere search may enumerate: A <= 69
 SEARCH_BUDGET = 10**6
+# the most unordered sphere pairs a pair search may check: A <= 25 in `search`
+PAIR_BUDGET = 25 * 10**6
 
 
 class _CertificateFields(NamedTuple):
@@ -129,10 +131,15 @@ def enumerate_sphere_tuples(max_exponent: int) -> list[ExponentTuple]:
     """All canonical 4-entry sphere tuples with entries in [2, max_exponent].
 
     Canonical means entries sorted ascending; output is in lexicographic
-    order and free of permutation duplicates. Four nested loops walk the
-    sorted tuples a <= b <= c <= x, and the six edges of each gcd graph are
-    read off a table of which values share a factor, so every pair of
-    values costs one gcd per call.
+    order and free of permutation duplicates. On 4 entries the criterion
+    reads: (i) holds iff the gcd graph has at most one edge, and (ii) iff
+    three entries are even with pairwise gcd 2 and the fourth is odd and
+    coprime to them. So each sorted prefix a <= b <= c takes one mask of
+    the last entries x in [c, max_exponent] that complete it to a sphere,
+    read off `gcd_masks`, its complement and a table of the pairs with
+    gcd 2, and only its set bits become `ExponentTuple`s. `sphere_chi`
+    re-checks every summand with the general criterion before it reaches
+    a certificate.
     """
     if max_exponent < 2:
         raise InvalidInputError(f"max_exponent must be >= 2, got {max_exponent}")
@@ -142,28 +149,43 @@ def enumerate_sphere_tuples(max_exponent: int) -> list[ExponentTuple]:
             f"search space holds {candidates} candidate tuples, exceeding "
             f"the budget of {SEARCH_BUDGET}"
         )
-    values = range(2, max_exponent + 1)
+    top = max_exponent + 1
+    full = (1 << top) - 1
     shares = gcd_masks(max_exponent)
+    evens = sum(1 << y for y in range(2, top, 2))
+    odds = sum(1 << y for y in range(3, top, 2))
+    # good[v]: bit y set iff (v, y) may be a pair of a tuple that (ii) holds
+    # on, that is both even with gcd 2, or of opposite parity and coprime
+    good = [0] * top
+    for v in range(2, top):
+        two = sum(1 << y for y in range(2, top, 2) if math.gcd(v, y) == 2)
+        good[v] = two | ~shares[v] & (evens if v & 1 else odds)
     out = []
-    for a in values:
-        row_a = shares[a]
-        for b in values[a - 2 :]:
-            row_b = shares[b]
-            ab = row_a >> b & 1
-            for c in values[b - 2 :]:
-                row_c = shares[c]
-                ac = row_a >> c & 1
-                bc = row_b >> c & 1
-                # the masks of a, b and c within (a, b, c); x adds bit 3
-                mask_a, mask_b, mask_c = ab << 1 | ac << 2, ab | bc << 2, ac | bc << 1
-                for x in values[c - 2 :]:
-                    ax = row_a >> x & 1
-                    bx = row_b >> x & 1
-                    cx = row_c >> x & 1
-                    adj = [mask_a | ax << 3, mask_b | bx << 3, mask_c | cx << 3,
-                           ax | bx << 1 | cx << 2]
-                    if _verdict((a, b, c, x), adj)[0] in SPHERE_KINDS:
-                        out.append(ExponentTuple((a, b, c, x)))
+    for a in range(2, top):
+        sa, ga = shares[a], good[a]
+        for b in range(a, top):
+            sb, gb = shares[b], good[b]
+            ab = sa >> b & 1
+            for c in range(b, top):
+                sc, gc = shares[c], good[c]
+                # (i): at most one edge, so x meets at most one of a, b, c
+                # when they have no edge, and none when they have one
+                edges = ab + (sa >> c & 1) + (sb >> c & 1)
+                if edges == 0:
+                    xs = ~(sa & sb | sa & sc | sb & sc)
+                elif edges == 1:
+                    xs = ~(sa | sb | sc)
+                else:
+                    xs = 0
+                # (ii): every pair good and some entry odd; no two odd
+                # entries make a good pair, so then exactly one is odd
+                if ga >> b & ga >> c & gb >> c & 1:
+                    xs |= ga & gb & gc & (-1 if (a | b | c) & 1 else odds)
+                xs &= full >> c << c  # x in [c, max_exponent]
+                while xs:
+                    low = xs & -xs
+                    out.append(ExponentTuple((a, b, c, low.bit_length() - 1)))
+                    xs ^= low
     return out
 
 
@@ -174,15 +196,20 @@ def certify_non_brieskorn_pairs(
     connected-sum value is <= 0.
 
     Inputs must pass `sphere_chi`; they are canonicalized, so permuted
-    duplicates collapse to one tuple.
+    duplicates collapse to one tuple. The pairs of the distinct tuples are
+    checked against `PAIR_BUDGET` before any `sphere_chi` call.
     """
-    rows: list[tuple[ExponentTuple, Fraction]] = []
-    seen: set[tuple[int, ...]] = set()
+    distinct: dict[tuple[int, ...], tuple[int, ExponentTuple]] = {}
     for i, t in enumerate(tuples):
         c = t.canonical()
-        if c.entries not in seen:
-            seen.add(c.entries)
-            rows.append((c, sphere_chi(c, f"tuples[{i}]", limits)))
+        distinct.setdefault(c.entries, (i, c))
+    pairs = len(distinct) * (len(distinct) + 1) // 2
+    if pairs > PAIR_BUDGET:
+        raise CapacityError(
+            f"{len(distinct)} distinct sphere tuples make {pairs} pairs, exceeding "
+            f"the budget of {PAIR_BUDGET}"
+        )
+    rows = [(c, sphere_chi(c, f"tuples[{i}]", limits)) for i, c in distinct.values()]
 
     certificates = []
     for i, (a, chi_a) in enumerate(rows):

@@ -128,13 +128,6 @@ def _cmd_invariants(args, limits: Limits) -> tuple[dict, dict, list[str]]:
         f"total mu_RS:     {total}",
         f"chi_m:           {chi_m_str}",
     ]
-    if args.strata:
-        human.append("strata (period, subtuple, dim, mu_RS, frequency, chi_S1):")
-        for s in strata:
-            human.append(
-                f"  T={s.period:<12} b={str(t.subtuple(s.indices)):<24} dim={2 * s.m_t - 3:<3} "
-                f"mu_RS={s.mu_rs:<8} phi={s.frequency:<8} chi_S1={s.chi_s1}"
-            )
     result = {
         "tuple": tuple_obj(t),
         "n": t.n,
@@ -146,8 +139,16 @@ def _cmd_invariants(args, limits: Limits) -> tuple[dict, dict, list[str]]:
         "chi_m_defined": value is not None,
         "chi_m": _opt_fraction_json(value),
     }
-    if args.strata:
+    # each stratum in the one form that `main` writes
+    if args.strata and args.json:
         result["strata"] = [_stratum_json(t, s) for s in strata]
+    elif args.strata:
+        human.append("strata (period, subtuple, dim, mu_RS, frequency, chi_S1):")
+        for s in strata:
+            human.append(
+                f"  T={s.period:<12} b={str(t.subtuple(s.indices)):<24} dim={2 * s.m_t - 3:<3} "
+                f"mu_RS={s.mu_rs:<8} phi={s.frequency:<8} chi_S1={s.chi_s1}"
+            )
     return {"tuple": tuple_obj(t), "strata": bool(args.strata)}, result, human
 
 

@@ -2,7 +2,8 @@
 
 The subset lattices and the Fermat towers are guarded by caps, set by flag
 or environment, so that absurd inputs fail fast with a `CapacityError`
-instead of hanging; the sphere search has the fixed `certify.SEARCH_BUDGET`.
+instead of hanging; the sphere search has the fixed `certify.SEARCH_BUDGET`
+and the pair search the fixed `certify.PAIR_BUDGET`.
 """
 
 from __future__ import annotations

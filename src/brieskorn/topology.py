@@ -16,8 +16,9 @@ an integral homology 3-sphere and no homeomorphism claim is made.
 
 The graph is held as one integer bit mask per entry position (bit j of
 entry i set iff gcd(a_i, a_j) >= 2); the verdict and the components are
-read off those masks, so `certify` can read a candidate's masks off a
-table of which values share a factor instead of taking its gcds.
+read off those masks. `gcd_masks` is the same graph over a range of
+values, which `certify` and `verify` read one sorted prefix at a time
+instead of taking each tuple's gcds.
 
 The subset lattice holds, for every subset J of entry positions, the lcm
 of its entries, its Reeb frequency and its homology rank kappa (Milnor-Orlik),

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import brieskorn
 from brieskorn.certify import (
     CONCLUSION,
+    PAIR_BUDGET,
     SEARCH_BUDGET,
     NonBrieskornCertificate,
     certify_non_brieskorn_pairs,
@@ -84,11 +85,11 @@ def test_enumerate_budget():
 
 
 def test_enumerate_budget_comes_before_any_work(monkeypatch):
-    # no gcd table and no verdict before the budget is checked
+    # no table and no mask before the budget is checked: the prefix masks read
+    # `gcd_masks` and a table of the pairs with gcd 2, built with `math.gcd`
     monkeypatch.setattr("brieskorn.certify.SEARCH_BUDGET", 494)
     monkeypatch.setattr("brieskorn.certify.math", SimpleNamespace(comb=math.comb))
     monkeypatch.setattr("brieskorn.certify.gcd_masks", None)
-    monkeypatch.setattr("brieskorn.certify._verdict", None)
     with pytest.raises(CapacityError, match="495 candidate"):
         enumerate_sphere_tuples(10)
 
@@ -100,11 +101,29 @@ def test_enumerate_budget_admits_a_search_space_of_its_size(monkeypatch):
     assert enumerate_sphere_tuples(10) == expected
 
 
-@pytest.mark.parametrize("max_exponent", range(2, 17))
+@pytest.mark.parametrize("max_exponent", [*range(2, 17), 20, 24])
 def test_enumerate_matches_the_filtered_oracle(max_exponent):
-    # the nested loops over the gcd table against every sorted 4-tuple put
-    # through the set-based criterion
+    # the prefix masks against every sorted 4-tuple put through the
+    # set-based criterion
     assert enumerate_sphere_tuples(max_exponent) == filtered_sphere_tuples(max_exponent)
+
+
+@pytest.mark.parametrize("max_exponent, count", [(19, 2530), (25, 6972), (30, 13736), (40, 43480)])
+def test_enumerate_sphere_counts(max_exponent, count):
+    assert len(enumerate_sphere_tuples(max_exponent)) == count
+
+
+def test_enumerate_follows_the_three_sphere_shapes_at_40():
+    # On 4 entries (i), two isolated points, leaves at most one edge: four
+    # isolated points or two. (ii) needs an odd component of even entries of
+    # size > 1, so three, and an isolated point, the odd fourth entry.
+    shapes = {}
+    for t in enumerate_sphere_tuples(40):
+        verdict = evaluate_criterion(t)
+        shape = verdict.kind.value, len(verdict.isolated_points)
+        shapes[shape] = shapes.get(shape, 0) + 1
+    assert shapes == {("SPHERE_BY_I", 4): 8282, ("SPHERE_BY_I", 2): 30318,
+                      ("SPHERE_BY_II", 1): 4880}
 
 
 def test_enumerated_spheres_have_positive_invariant():
@@ -167,6 +186,17 @@ def test_certify_canonicalizes_and_deduplicates():
     )
     assert len(certs) == 1
     assert certs[0].tuple_a.entries == (4, 5, 9, 19)
+
+
+def test_pair_budget_counts_distinct_tuples_before_any_chi_m(monkeypatch):
+    # two permutations of one tuple make one pair; a second tuple makes three
+    assert PAIR_BUDGET == 25 * 10**6
+    monkeypatch.setattr("brieskorn.certify.PAIR_BUDGET", 1)
+    assert len(certify_non_brieskorn_pairs([make_tuple([19, 9, 5, 4]), sigma_m_tuple(4)])) == 1
+    monkeypatch.setattr("brieskorn.certify.sphere_chi", None)
+    with pytest.raises(CapacityError, match=r"^2 distinct sphere tuples make 3 pairs, "
+                                            r"exceeding the budget of 1$"):
+        certify_non_brieskorn_pairs([sigma_m_tuple(4), make_tuple([2, 2, 2, 2])])
 
 
 def test_certify_rejects_wrong_length():

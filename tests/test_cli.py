@@ -520,6 +520,21 @@ def test_search_over_the_budget_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_over_the_pair_budget_exits_1_before_any_chi_m(tmp_path, capsys, monkeypatch):
+    # A = 25 makes 24,307,878 pairs, within the budget; A = 26 makes 32,148,171
+    def no_chi_m(*args):
+        raise AssertionError("sphere_chi called before the pair budget")
+
+    monkeypatch.setattr("brieskorn.certify.sphere_chi", no_chi_m)
+    out = tmp_path / "F.jsonl"
+    code, stdout, err = run(capsys, "search", "--max-exponent", "26", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == ("capacity error: 8018 distinct sphere tuples make 32148171 pairs, "
+                   "exceeding the budget of 25000000\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------- byte identity
 
 
