@@ -20,7 +20,12 @@ _ENV_VARS = {
 }
 
 
-class Limits(NamedTuple):
+class _LimitsFields(NamedTuple):
+    subset_cap: int
+    fermat_cap: int
+
+
+class Limits(_LimitsFields):
     """Caps applied by the enumeration-heavy operations.
 
     subset_cap: maximum tuple length L for operations that walk all 2^L
@@ -29,18 +34,31 @@ class Limits(NamedTuple):
         on 20 entries above 2 GB, so 20 is refused by default.
     fermat_cap: largest Fermat index ever materialized (sizes grow doubly
         exponentially).
+
+    Each cap is an int >= 0, not a bool. The checks run in `__new__`, and
+    `_make` (which `_replace` calls) goes through it too.
     """
 
-    subset_cap: int = 19
-    fermat_cap: int = 12
+    __slots__ = ()
+
+    def __new__(cls, subset_cap: int = 19, fermat_cap: int = 12):
+        for name, value in (("subset_cap", subset_cap), ("fermat_cap", fermat_cap)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidInputError(f"limit {name} must be an integer, got {value!r}")
+            if value < 0:
+                raise InvalidInputError(f"limit {name} must be nonnegative, got {value}")
+        return tuple.__new__(cls, (subset_cap, fermat_cap))
+
+    @classmethod
+    def _make(cls, iterable) -> "Limits":
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):  # no default stands in for a missing field
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
 
     def with_overrides(self, **kwargs) -> "Limits":
         """Return a copy with the given fields replaced (None values ignored)."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        for name, value in updates.items():
-            if value < 0:
-                raise InvalidInputError(f"limit {name} must be nonnegative, got {value}")
-        return self._replace(**updates)
+        return self._replace(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 DEFAULT_LIMITS = Limits()

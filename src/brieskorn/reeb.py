@@ -24,7 +24,11 @@ straight off the table and builds no stratum. `mean_euler` builds the
 strata, each field one column read off the table at the closed subsets, and
 takes the sum off their frequency and `chi_S1` columns, so each `chi_S1` is
 computed once; the tests compare the two values. The positions of a stratum
-are those of its subset, and only its Robbin-Salamon index is found by
+are those of its subset, read from one table of subset positions that every
+call shares (at most 2^11 entries, grown when a longer tuple first needs
+them), so strata of one length share their `indices` tuples across calls
+and reports; only a tuple of more than 11 entries doubles that table on in a
+list of its own call. Only its Robbin-Salamon index is found by
 division, of its period by every entry in one stream of quotients; it never
 reads the subset, so the parity check of `verify-paper` item 6 on it keeps
 its meaning. The second route to the sum, over the strata with the
@@ -69,6 +73,9 @@ class Stratum(NamedTuple):
     The stratum is the manifold of `a.subtuple(indices)`, of dimension
     2*m_t - 3 and orbit space dimension 2*m_t - 4. An immutable named tuple:
     it unpacks in field order and equals a plain tuple of the same values.
+    `indices` is an entry of the positions table that `_build_strata` shares,
+    so strata of equal positions, in any reports of tuples of one length up
+    to 11, hold the same tuple object.
     """
 
     period: int
@@ -104,6 +111,26 @@ def _closed_subsets(lcm: list[int], freq: list[int]) -> list[int]:
     return subsets
 
 
+# the positions of every subset, shared by all `_build_strata` calls: entry J
+# lists the set bits of J, ascending, so the table of a shorter length is its
+# prefix. It grows by doubling when a longer tuple first asks, to at most
+# 2^_SHARED_BITS entries, the subsets one lattice chunk holds
+# (`topology._CHUNK_SUBSETS`)
+_SHARED_BITS = 11
+_POSITIONS: list[tuple[int, ...]] = [()]
+
+
+def _positions(L: int) -> list[tuple[int, ...]]:
+    # the positions of every subset of L entries: the shared table, grown to
+    # min(L, _SHARED_BITS) positions, then doubled on in a list of this call
+    for j in range(len(_POSITIONS).bit_length() - 1, min(L, _SHARED_BITS)):
+        _POSITIONS.extend([p + (j,) for p in _POSITIONS])
+    positions = _POSITIONS
+    for j in range(_SHARED_BITS, L):
+        positions = positions + [p + (j,) for p in positions]
+    return positions
+
+
 def _build_strata(a: ExponentTuple,
                   lattice: tuple[list[int], ...]) -> tuple[tuple[Stratum, ...], int]:
     """The strata of the flow on `a`, read column by column off its
@@ -112,8 +139,12 @@ def _build_strata(a: ExponentTuple,
     Each stratum is a closed subset J of the table, and its period,
     frequency and kappa are the table's entries at J. A closed subset holds
     exactly the positions of the entries dividing its period, so `indices`
-    is J's positions, read from one table of the positions of every subset
-    built by doubling, and `m_t` is J's bit count. Only the Robbin-Salamon
+    is J's positions and `m_t` is J's bit count. The positions come from one
+    table of every subset's positions that all calls share, built by
+    doubling: it grows only when a longer tuple first asks, and only to
+    2^11 entries (`topology._CHUNK_SUBSETS`, about 0.18 MB held), after the
+    lattice has passed its cap check. A tuple of more than 11 entries
+    doubles on from that table in a list of this call. Only the Robbin-Salamon
     index is found by division, in one stream of quotients over the periods
     and entries. The sum is taken off the `chi_S1` column the strata hold, so
     each is computed once.
@@ -122,9 +153,7 @@ def _build_strata(a: ExponentTuple,
     entries = a.entries
     L = len(entries)
     subsets = _closed_subsets(lcm, freq)
-    positions: list[tuple[int, ...]] = [()]
-    for j in range(L):  # positions[J] lists the set bits of J, ascending
-        positions += [p + (j,) for p in positions]
+    positions = _positions(L)
     periods = list(map(lcm.__getitem__, subsets))
     frequency = list(map(freq.__getitem__, subsets))
     m = list(map(int.bit_count, subsets))

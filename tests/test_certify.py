@@ -41,8 +41,15 @@ from brieskorn.errors import (
     PreconditionError,
 )
 from brieskorn.families import sigma_m_tuple
-from brieskorn.reeb import connected_sum_chi, mean_euler
-from brieskorn.topology import evaluate_criterion, make_tuple
+from brieskorn.limits import DEFAULT_LIMITS
+from brieskorn.reeb import _chi_m, _chi_numerator, connected_sum_chi, mean_euler, total_rs_index
+from brieskorn.topology import (
+    ExponentTuple,
+    evaluate_criterion,
+    make_tuple,
+    subset_lattice,
+    subset_lattices,
+)
 from oracles import (
     canonical_read_certificates,
     certificate_to_obj,
@@ -124,6 +131,47 @@ def test_enumerate_follows_the_three_sphere_shapes_at_40():
         shapes[shape] = shapes.get(shape, 0) + 1
     assert shapes == {("SPHERE_BY_I", 4): 8282, ("SPHERE_BY_I", 2): 30318,
                       ("SPHERE_BY_II", 1): 4880}
+
+
+# Why chi_m > 0 on every 5-dimensional sphere (README, "Why every summand has
+# chi_m > 0"): step (a) is the shape test above, and steps (b)-(d) follow.
+
+
+@given(st.tuples(*[st.integers(min_value=2, max_value=10**6)] * 3))
+def test_a_triple_has_the_rank_of_its_pairwise_gcds(triple):
+    # step (b): abc / lcm(a, b, c) = g_ab g_bc g_ca / g_abc, by comparing the
+    # p-adic valuations, so Milnor-Orlik's rank of a triple is read off its gcds
+    a, b, c = triple
+    g_ab, g_bc, g_ca, g_abc = math.gcd(a, b), math.gcd(b, c), math.gcd(c, a), math.gcd(a, b, c)
+    assert g_ab * g_bc * g_ca % g_abc == 0
+    quotient = g_ab * g_bc * g_ca // g_abc
+    assert a * b * c // math.lcm(a, b, c) == quotient
+    kappa = subset_lattice(ExponentTuple(triple), DEFAULT_LIMITS)[2][-1]
+    assert kappa == 2 - (g_ab + g_bc + g_ca) + quotient
+
+
+def test_every_sphere_to_30_has_a_numerator_of_3_plus_nonnegative_terms():
+    # steps (c)-(d) on all 13,736 spheres with entries <= 30, one lattice pass:
+    # kappa is 0 on the four triples and on the whole tuple, so a pair
+    # stratum has chi_S1 = gcd, a triple stratum 2 and the top one 3 with
+    # frequency 1; the numerator is 3 plus nonnegative terms, and the total
+    # index is nonzero, so chi_m >= 3 / |total index| > 0
+    triples = (0b0111, 0b1011, 0b1101, 0b1110)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    spheres = enumerate_sphere_tuples(30)
+    assert len(spheres) == 13736
+    for t, lattice in zip(spheres, subset_lattices(spheres, DEFAULT_LIMITS)):
+        _, freq, kap = lattice
+        e = t.entries
+        assert [kap[J] for J in triples] == [0] * 4 and kap[0b1111] == 0, e
+        assert freq[0b1111] == 1, e
+        numerator = _chi_numerator(lattice)
+        assert numerator == (3 + sum(freq[1 << i | 1 << j] * math.gcd(e[i], e[j]) for i, j in pairs)
+                             + 2 * sum(freq[J] for J in triples)), e
+        assert numerator >= 3, e
+        total = total_rs_index(t)
+        assert total != 0, e
+        assert _chi_m(t, lattice) == Fraction(numerator, abs(total)) > 0, e
 
 
 def test_enumerated_spheres_have_positive_invariant():

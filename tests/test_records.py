@@ -1,9 +1,9 @@
 """The package's records: named tuples that cannot be changed once built.
 
 Every record is a `typing.NamedTuple`, so it equals, hashes and orders like
-the plain tuple of its fields. The two validated records, `ExponentTuple`
-and `NonBrieskornCertificate`, check their fields in `__new__`, and every
-way to build one (`_make`, `_replace`) goes through those checks.
+the plain tuple of its fields. The validated records, `ExponentTuple`,
+`NonBrieskornCertificate` and `Limits`, check their fields in `__new__`,
+and every way to build one (`_make`, `_replace`) goes through those checks.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from brieskorn import (
     DEFAULT_LIMITS,
     CheckResult,
     ExponentTuple,
+    Limits,
     NonBrieskornCertificate,
     SuiteResult,
     certify_non_brieskorn_pairs,
@@ -30,7 +31,7 @@ from brieskorn import (
     mean_euler,
     sigma_family_rows,
 )
-from brieskorn.errors import InvalidInputError
+from brieskorn.errors import BrieskornError, InvalidInputError
 
 REFERENCE = ExponentTuple((4, 5, 9, 19))
 CERTIFICATE = NonBrieskornCertificate(
@@ -113,6 +114,38 @@ def test_replace_and_make_rerun_the_certificate_checks():
     assert CERTIFICATE._replace() == CERTIFICATE
     with pytest.raises(TypeError):
         NonBrieskornCertificate._make(CERTIFICATE[:5])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Limits(subset_cap=-1), r"^limit subset_cap must be nonnegative, got -1$"),
+    (lambda: DEFAULT_LIMITS._replace(subset_cap=-3),
+     r"^limit subset_cap must be nonnegative, got -3$"),
+    (lambda: Limits._make([19, -2]), r"^limit fermat_cap must be nonnegative, got -2$"),
+    (lambda: DEFAULT_LIMITS.with_overrides(fermat_cap=-1),
+     r"^limit fermat_cap must be nonnegative, got -1$"),
+    (lambda: Limits(subset_cap=4.5), r"^limit subset_cap must be an integer, got 4.5$"),
+    (lambda: Limits(subset_cap=True), r"^limit subset_cap must be an integer, got True$"),
+    (lambda: Limits(subset_cap="19"), r"^limit subset_cap must be an integer, got '19'$"),
+    (lambda: DEFAULT_LIMITS.with_overrides(subset_cap="19"),
+     r"^limit subset_cap must be an integer, got '19'$"),
+], ids=["negative", "replace", "make", "with-overrides", "float", "bool", "str",
+        "with-overrides-str"])
+def test_limits_check_their_own_fields(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
+
+
+def test_limits_built_every_way_are_checked_caps():
+    assert Limits() == DEFAULT_LIMITS == (19, 12)
+    assert Limits(0, 0) == Limits._make([0, 0]) == DEFAULT_LIMITS._replace(subset_cap=0,
+                                                                          fermat_cap=0)
+    assert DEFAULT_LIMITS.with_overrides(subset_cap=None, fermat_cap=5) == (19, 5)
+    with pytest.raises(TypeError):
+        Limits._make([19])
+    # a cap of the wrong type is refused in the library's words, before any
+    # comparison with a tuple length could raise a TypeError
+    with pytest.raises(BrieskornError):
+        mean_euler(REFERENCE, Limits(subset_cap="19"))
 
 
 def test_importing_the_package_loads_no_introspection_modules():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from brieskorn.certify import enumerate_sphere_tuples
 from brieskorn.families import fermat_tuple
 from brieskorn.errors import CapacityError, InvalidInputError, PreconditionError
+from brieskorn import reeb, topology
 from brieskorn.limits import DEFAULT_LIMITS, Limits
 from brieskorn.reeb import (
     Stratum,
@@ -97,9 +98,12 @@ def test_lattice_kappa_matches_both_routes_on_every_subtuple(entries):
         assert kap[J] == alternating_kappa(sub) == brieskorn_pham_kappa(sub), sub
 
 
-def test_lattice_cap_fails_before_allocating():
+def test_lattice_cap_fails_before_allocating(monkeypatch):
     # 17 entries against a cap of 16: each table would hold 2^17 entries,
-    # over 1 MB, so the peak of a check made after allocating shows
+    # over 1 MB, so the peak of a check made after allocating shows. The
+    # shared positions table starts empty, so growing it (about 0.18 MB)
+    # before the cap check would show too
+    monkeypatch.setattr(reeb, "_POSITIONS", [()])
     limits = Limits(subset_cap=16)
     t = ExponentTuple(tuple(range(2, 19)))
     calls = {
@@ -116,6 +120,7 @@ def test_lattice_cap_fails_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 100_000, name
+    assert reeb._POSITIONS == [()]
 
 
 @pytest.mark.parametrize(
@@ -252,6 +257,37 @@ def test_robbin_salamon_index_divides_the_period_and_reads_no_subset():
     assert (planted.period, planted.m_t) == (12, 2)
     assert planted.mu_rs == total_rs_index(t)
     assert (planted.mu_rs - (t.n + 1 - planted.m_t)) % 2 == 1
+
+
+def test_strata_builds_in_any_order_of_lengths_read_one_positions_table(monkeypatch):
+    # from an empty table, lengths that grow it, read a prefix of it and
+    # double on past it (12 and 14), in that order and reversed, so that the
+    # table also grows from part way: a stale or mis-grown table gives some
+    # build the wrong `indices`
+    rng = random.Random(36)
+    lengths = (12, 3, 14, 6, 2, 11, 4)
+    for order in (lengths, lengths[::-1]):
+        monkeypatch.setattr(reeb, "_POSITIONS", [()])
+        for length in order:
+            t = ExponentTuple(tuple(rng.randint(2, 40) for _ in range(length)))
+            lattice = subset_lattice(t, DEFAULT_LIMITS)
+            assert _build_strata(t, lattice)[0] == loop_build_strata(t, lattice), order
+
+
+def test_the_positions_table_holds_2048_subsets_after_a_longer_tuple(monkeypatch):
+    monkeypatch.setattr(reeb, "_POSITIONS", [()])
+    mean_euler(ExponentTuple(tuple(range(2, 16))))  # 14 entries
+    assert len(reeb._POSITIONS) == 2**11 == topology._CHUNK_SUBSETS
+    assert reeb._POSITIONS == [tuple(j for j in range(11) if J >> j & 1) for J in range(2**11)]
+
+
+def test_reports_of_one_length_share_their_indices():
+    # both tuples are pairwise coprime, so every subset of two or more
+    # positions is a stratum of each, at periods in different orders
+    first = {s.indices: s.indices for s in mean_euler(make_tuple((2, 3, 5, 7, 11))).strata}
+    second = mean_euler(make_tuple((13, 4, 9, 25, 7))).strata
+    assert len(first) == len(second) == 26
+    assert all(first[s.indices] is s.indices for s in second)
 
 
 # ------------------------------------------------------- total index
