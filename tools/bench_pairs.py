@@ -156,10 +156,10 @@ def run_pairs(runners: dict, workload: str, seeds: list[int],
     return runs
 
 
-def command_text(argv: list[str]) -> str:
-    """The command line kept in the record, with its `--out` file named by
-    its base name, so a record names no directory of the machine that ran
-    it."""
+def command_text(argv: list[str], script: str = "tools/bench_pairs.py") -> str:
+    """The command line of `script` kept in the record, with its `--out`
+    file named by its base name, so a record names no directory of the
+    machine that ran it."""
     words, after_out = [], False
     for word in argv:
         if after_out:
@@ -168,7 +168,7 @@ def command_text(argv: list[str]) -> str:
             word = "--out=" + Path(word[len("--out="):]).name
         after_out = word == "--out"
         words.append(word)
-    return " ".join(["python3", "tools/bench_pairs.py", *words])
+    return " ".join(["python3", script, *words])
 
 
 def main() -> int:
