@@ -45,7 +45,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_pairs import SIDES, command_text, export  # noqa: E402
@@ -53,6 +52,7 @@ from bench_pairs import SIDES, command_text, export  # noqa: E402
 WORKLOADS = ("search", "strata", "verify_paper")
 KINDS = ("opcodes", "python_calls", "c_calls")
 OUTSIDE = "(outside)"
+HASH_SEED = "0"
 
 
 def owner(frame) -> str:
@@ -154,7 +154,7 @@ def counted_pass(copy: Path, workload: str, seed: int) -> dict:
     return {**counter.summary(), "errors": errors}
 
 
-def run_pass(copy: Path, workload: str, seed: int, hash_seed: str = "0") -> dict:
+def run_pass(copy: Path, workload: str, seed: int, hash_seed: str = HASH_SEED) -> dict:
     """`counted_pass` in a fresh interpreter with PYTHONHASHSEED=`hash_seed`."""
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
@@ -208,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         "note": args.note,
         "seed": args.seed,
         "python": platform.python_version(),
-        "hash_seed": "0",
+        "hash_seed": HASH_SEED,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_counts_") as work:
